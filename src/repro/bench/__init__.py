@@ -6,9 +6,12 @@ of registered backends x model specs x batch sizes
 artifact (``BENCH_<name>.json``, :mod:`repro.bench.schema`), and
 regression deltas between two artifacts (:func:`compare_payloads`).  The
 CI ``bench-smoke`` job runs the quick sweep on every push and validates
-the artifact with ``python -m repro.bench.schema``.
+the artifact with ``python -m repro.bench``.  The artifact's top-level
+blocks (cluster, autoscale, sharding, tiering, telemetry) are the
+:data:`BLOCKS` of :mod:`repro.bench.blocks`.
 """
 
+from repro.bench.blocks import BLOCKS
 from repro.bench.compare import (
     METRICS,
     SERVING_METRICS,
@@ -32,6 +35,7 @@ from repro.bench.schema import (
 )
 
 __all__ = [
+    "BLOCKS",
     "BenchConfig",
     "BenchSchemaError",
     "DEFAULT_TARGET_QPS",

@@ -18,6 +18,7 @@ comparison flags every fresh result whose measured wall clock exceeds the
 
 from __future__ import annotations
 
+from repro.bench.blocks import BLOCKS, BenchBlock
 from repro.bench.schema import validate_payload
 
 #: Headline metrics compared per (model, backend) pair, with the direction
@@ -35,70 +36,6 @@ METRICS = {
 SERVING_METRICS = {
     "sla_capacity_per_s": "lower-is-worse",
     "sla_nodes": "higher-is-worse",
-}
-
-#: Routed-cluster metrics (schema v3) compared when both artifacts carry
-#: a non-null ``cluster`` block: blended tail latency, SLA attainment,
-#: and the fleet's operating cost per million queries.
-CLUSTER_METRICS = {
-    "p99_ms": "higher-is-worse",
-    "sla_attainment": "lower-is-worse",
-    "usd_per_million_queries": "higher-is-worse",
-}
-
-#: Elastic-fleet metrics (schema v4) compared when both artifacts carry
-#: a non-null ``autoscale`` block: blended fleet size, cost, and the
-#: horizon's SLA attainment.
-AUTOSCALE_METRICS = {
-    "mean_nodes": "higher-is-worse",
-    "usd_per_hour": "higher-is-worse",
-    "usd_per_million_queries": "higher-is-worse",
-    "sla_attainment": "lower-is-worse",
-}
-
-#: Sharded-fleet metrics (schema v5) compared when both artifacts carry
-#: a non-null ``sharding`` block: blended fan-out tail latency, SLA
-#: attainment, the plan's lookup fan-out, and peak node occupancy.
-SHARDING_METRICS = {
-    "p99_ms": "higher-is-worse",
-    "sla_attainment": "lower-is-worse",
-    "fanout": "higher-is-worse",
-    "max_node_utilisation": "higher-is-worse",
-}
-
-#: Tiered-storage metrics (schema v7) compared when both artifacts carry
-#: a non-null ``tiering`` block: steady-state hot-tier hit rate and the
-#: warm and cold serving tails at the heaviest swept load.
-TIERING_METRICS = {
-    "hit_rate": "lower-is-worse",
-    "warm_p99_ms": "higher-is-worse",
-    "cold_p99_ms": "higher-is-worse",
-}
-
-#: Telemetry-plane metrics (schema v8) compared when both artifacts
-#: carry a non-null ``telemetry`` block: the digest-estimated routed
-#: tails, the spill share off the primary tier, and (when the tiering
-#: block also ran) the hot tier's counted hit rate.  A drifting digest
-#: or a mis-counted dispatch moves these even when the underlying
-#: serving numbers hold still.
-TELEMETRY_METRICS = {
-    "digest_p99_ms": "higher-is-worse",
-    "digest_p999_ms": "higher-is-worse",
-    "spill_share": "higher-is-worse",
-    "hot_hit_rate": "lower-is-worse",
-}
-
-#: Every compared metric's regression direction
-#: (perf + serving + cluster + autoscale + sharding + tiering +
-#: telemetry).
-ALL_METRIC_DIRECTIONS = {
-    **METRICS,
-    **SERVING_METRICS,
-    **CLUSTER_METRICS,
-    **AUTOSCALE_METRICS,
-    **SHARDING_METRICS,
-    **TIERING_METRICS,
-    **TELEMETRY_METRICS,
 }
 
 
@@ -124,11 +61,6 @@ def _serving_metrics(result: dict) -> dict[str, float]:
     return out
 
 
-def _direction(metric: str) -> str:
-    base = metric.split(":", 1)[0]
-    return ALL_METRIC_DIRECTIONS[base]
-
-
 def _delta(before: float, after: float) -> float | None:
     """Signed percentage change; None when the baseline is zero."""
     if before == 0:
@@ -136,106 +68,29 @@ def _delta(before: float, after: float) -> float | None:
     return (after - before) / before * 100.0
 
 
-def _cluster_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's cluster block into comparable scalars."""
-    cluster = payload.get("cluster")
-    if not isinstance(cluster, dict):
-        return None
-    result = cluster["result"]
-    return {
-        "p99_ms": result["blended"]["p99_ms"],
-        "sla_attainment": result["blended"]["sla_attainment"],
-        "usd_per_million_queries": result["usd_per_million_queries"],
-    }
-
-
-def _sharding_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's sharding block into comparable scalars."""
-    sharding = payload.get("sharding")
-    if not isinstance(sharding, dict):
-        return None
-    blended = sharding["result"]["blended"]
-    plan = sharding["plan"]
-    return {
-        "p99_ms": blended["p99_ms"],
-        "sla_attainment": blended["sla_attainment"],
-        "fanout": plan["fanout"],
-        "max_node_utilisation": plan["max_node_utilisation"],
-    }
-
-
-def _tiering_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's tiering block into comparable scalars.
-
-    The warm/cold tails are read at each curve's heaviest measured load —
-    the point where cache state matters most — rather than averaged
-    across the sweep.
-    """
-    tiering = payload.get("tiering")
-    if not isinstance(tiering, dict):
-        return None
-    warm = max(tiering["warm"]["points"], key=lambda p: p["rate_per_s"])
-    cold = max(tiering["cold"]["points"], key=lambda p: p["rate_per_s"])
-    return {
-        "hit_rate": tiering["steady_state"]["hit_rate"],
-        "warm_p99_ms": warm["p99_ms"],
-        "cold_p99_ms": cold["p99_ms"],
-    }
-
-
-def _telemetry_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's telemetry block into comparable scalars.
-
-    ``hot_hit_rate`` is present only when the block carried tier hit
-    rates (the sweep's tiering block was enabled); the comparison then
-    diffs the intersection of both sides' metrics, so a one-sided hit
-    rate degrades to absent rather than failing.
-    """
-    telemetry = payload.get("telemetry")
-    if not isinstance(telemetry, dict):
-        return None
-    out = {
-        "digest_p99_ms": telemetry["latency_ms"]["p99"],
-        "digest_p999_ms": telemetry["latency_ms"]["p999"],
-        "spill_share": telemetry["spill_share"],
-    }
-    hit_rates = telemetry.get("tier_hit_rates")
-    if isinstance(hit_rates, dict) and hit_rates:
-        # The hierarchy's fastest tier leads the hit-rate map; its rate
-        # is the one cache-sizing decisions watch.
-        out["hot_hit_rate"] = next(iter(hit_rates.values()))
-    return out
-
-
-def _autoscale_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's autoscale block into comparable scalars."""
-    autoscale = payload.get("autoscale")
-    if not isinstance(autoscale, dict):
-        return None
-    aggregate = autoscale["result"]["aggregate"]
-    return {metric: aggregate[metric] for metric in AUTOSCALE_METRICS}
-
-
 def _block_deltas(
-    old: dict[str, float] | None,
-    new: dict[str, float] | None,
-    metrics: dict[str, str],
+    block: BenchBlock, old: dict, new: dict
 ) -> dict[str, object] | None:
-    """Old/new/delta records for one optional top-level block.
+    """Old/new/delta records for one top-level block.
 
-    ``None`` when either payload lacks the block — sweeps legitimately
-    disable the cluster/autoscale blocks, and a one-sided block cannot
-    be diffed.
+    ``None`` when either payload's block is null — sweeps legitimately
+    disable blocks, and a one-sided block cannot be diffed.  Otherwise
+    one record per metric both sides carry, in ``block.directions``
+    order (a telemetry block without tier hit rates has no
+    ``hot_hit_rate``, so that metric degrades to absent, not failing).
     """
-    if old is None or new is None:
+    if old[block.key] is None or new[block.key] is None:
         return None
+    before = block.metrics(old[block.key])
+    after = block.metrics(new[block.key])
     return {
         metric: {
-            "old": old[metric],
-            "new": new[metric],
-            "delta_pct": _delta(old[metric], new[metric]),
+            "old": before[metric],
+            "new": after[metric],
+            "delta_pct": _delta(before[metric], after[metric]),
         }
-        for metric in metrics
+        for metric in block.directions
+        if metric in before and metric in after
     }
 
 
@@ -299,8 +154,6 @@ def compare_payloads(
     validate_payload(new)
     old_pairs = _by_pair(old)
     new_pairs = _by_pair(new)
-    old_telemetry = _telemetry_metrics(old)
-    new_telemetry = _telemetry_metrics(new)
     entries = []
     for key in sorted(old_pairs.keys() & new_pairs.keys()):
         old_perf = old_pairs[key]["perf"]
@@ -336,35 +189,7 @@ def compare_payloads(
     return {
         "baseline_name": old["name"],
         "entries": entries,
-        "cluster": _block_deltas(
-            _cluster_metrics(old), _cluster_metrics(new), CLUSTER_METRICS
-        ),
-        "autoscale": _block_deltas(
-            _autoscale_metrics(old),
-            _autoscale_metrics(new),
-            AUTOSCALE_METRICS,
-        ),
-        "sharding": _block_deltas(
-            _sharding_metrics(old),
-            _sharding_metrics(new),
-            SHARDING_METRICS,
-        ),
-        "tiering": _block_deltas(
-            _tiering_metrics(old),
-            _tiering_metrics(new),
-            TIERING_METRICS,
-        ),
-        "telemetry": _block_deltas(
-            old_telemetry,
-            new_telemetry,
-            {
-                metric: direction
-                for metric, direction in TELEMETRY_METRICS.items()
-                if old_telemetry is None
-                or new_telemetry is None
-                or (metric in old_telemetry and metric in new_telemetry)
-            },
-        ),
+        **{block.key: _block_deltas(block, old, new) for block in BLOCKS},
         "wall_clock": {
             "budget_scale": wall_clock_budget_scale,
             "entries": _wall_clock_entries(
@@ -397,22 +222,20 @@ def regressions(
                 f"{record['wall_clock_s']:.3f}s exceeds budget "
                 f"{record['budget_s']:.3f}s"
             )
-    entries = list(comparison["entries"])
-    for block, (model, backend) in {
-        "cluster": ("cluster", "routed"),
-        "autoscale": ("autoscale", "elastic"),
-        "sharding": ("sharding", "fan-out"),
-        "tiering": ("tiering", "tiered"),
-        "telemetry": ("telemetry", "observed"),
-    }.items():
-        deltas = comparison.get(block)
-        if deltas:
-            entries.append(
-                {"model": model, "backend": backend, "metrics": deltas}
-            )
-    for entry in entries:
-        for metric, record in entry["metrics"].items():
-            direction = _direction(metric)
+    pair_directions = {**METRICS, **SERVING_METRICS}
+    sections = [
+        (f"{entry['model']}/{entry['backend']}", entry["metrics"],
+         pair_directions)
+        for entry in comparison["entries"]
+    ] + [
+        (block.label, comparison[block.key], block.directions)
+        for block in BLOCKS
+        if comparison.get(block.key)
+    ]
+    for label, deltas, directions in sections:
+        for metric, record in deltas.items():
+            # Serving metrics are keyed "<metric>:<process>".
+            direction = directions[metric.split(":", 1)[0]]
             before, after = record["old"], record["new"]
             delta = record["delta_pct"]
             if after is None:
@@ -436,8 +259,6 @@ def regressions(
                 old_text = "-" if before is None else f"{before:.6g}"
                 new_text = "-" if after is None else f"{after:.6g}"
                 lines.append(
-                    f"{entry['model']}/{entry['backend']}: {metric} "
-                    f"{moved} "
-                    f"({old_text} -> {new_text})"
+                    f"{label}: {metric} {moved} ({old_text} -> {new_text})"
                 )
     return lines

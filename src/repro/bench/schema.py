@@ -4,7 +4,9 @@ One schema version covers one shape of payload; consumers (the CI
 ``bench-smoke`` job, ``repro bench --compare``, plotting scripts) refuse
 anything else.  The validator is hand-rolled — it needs to run from a bare
 ``numpy``-only install, so no ``jsonschema`` dependency — and reports the
-JSON path of the first offending field.
+JSON path of the first offending field.  Each top-level block's part of
+the schema, and its config knobs, live with the block in
+:mod:`repro.bench.blocks`.
 
 Run as a module to validate a file (the CI job does exactly this)::
 
@@ -16,7 +18,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from repro.bench.blocks import Knob
 
 #: Version of the payload shape documented here.  Bump on any change that
 #: could break a consumer: removed/renamed keys, changed types or units.
@@ -149,20 +154,9 @@ def _check_str_list(obj: dict, path: str, key: str) -> list[str]:
     return value
 
 
-#: Numeric fields the cluster block's blended record must carry, all
-#: strictly positive (mirrors
-#: :meth:`repro.cluster.cluster.ClusterServingResult.as_dict`).
-CLUSTER_BLENDED_POSITIVE_FIELDS = (
-    "mean_ms",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "p999_ms",
-    "achieved_qps",
-)
-
-
-def _check_config(config: object, path: str) -> None:
+def _check_config(
+    config: object, path: str, knobs: tuple[Knob, ...]
+) -> None:
     if not isinstance(config, dict):
         _fail(path, f"expected an object, got {config!r}")
     _check_str_list(config, path, "models")
@@ -208,65 +202,44 @@ def _check_config(config: object, path: str) -> None:
                 f"{path}.serve_utilisations[{i}]",
                 f"expected a positive number, got {u!r}",
             )
-    # v3 cluster knobs: an empty backend list means the sweep disabled
-    # the cluster block (and ``$.cluster`` must then be null).
-    cluster_backends = _get(config, path, "cluster_backends")
-    if not isinstance(cluster_backends, list):
-        _fail(
-            f"{path}.cluster_backends",
-            f"expected a list, got {cluster_backends!r}",
-        )
-    for i, item in enumerate(cluster_backends):
-        if not isinstance(item, str) or not item:
-            _fail(
-                f"{path}.cluster_backends[{i}]",
-                f"expected a string, got {item!r}",
-            )
-    _check_str(config, path, "cluster_router")
-    _check_number(
-        config, path, "cluster_utilisation", minimum=0, exclusive=True
-    )
-    # v4 autoscale knobs: an empty policy string means the sweep disabled
-    # the autoscale block (and ``$.autoscale`` must then be null).
-    policy = _get(config, path, "autoscale_policy")
-    if not isinstance(policy, str):
-        _fail(
-            f"{path}.autoscale_policy",
-            f"expected a string, got {policy!r}",
-        )
-    _check_int(config, path, "autoscale_windows", minimum=1)
-    # v5 sharding knobs: an empty strategy string means the sweep
-    # disabled the sharding block (and ``$.sharding`` must then be null).
-    strategy = _get(config, path, "sharding_strategy")
-    if not isinstance(strategy, str):
-        _fail(
-            f"{path}.sharding_strategy",
-            f"expected a string, got {strategy!r}",
-        )
-    _check_int(config, path, "sharding_nodes", minimum=1)
-    _check_number(
-        config, path, "sharding_node_gb", minimum=0, exclusive=True
-    )
-    # v7 tiering knobs: an empty policy string means the sweep disabled
-    # the tiering block (and ``$.tiering`` must then be null).
-    tiering_policy = _get(config, path, "tiering_policy")
-    if not isinstance(tiering_policy, str):
-        _fail(
-            f"{path}.tiering_policy",
-            f"expected a string, got {tiering_policy!r}",
-        )
-    _check_number(config, path, "tiering_alpha", minimum=0)
-    _check_number(
-        config, path, "tiering_hot_fraction", minimum=0, exclusive=True
-    )
-    # v8 telemetry knob: false means the sweep disabled the telemetry
-    # block (and ``$.telemetry`` must then be null).
-    telemetry = _get(config, path, "telemetry")
-    if not isinstance(telemetry, bool):
-        _fail(
-            f"{path}.telemetry",
-            f"expected a boolean, got {telemetry!r}",
-        )
+    for knob in knobs:
+        _check_knob(config, path, knob)
+
+
+#: What a knob's declared ``kind`` means in the artifact: a type test and
+#: its description for the rejection message.
+_KNOB_KINDS = {
+    bool: (lambda value: isinstance(value, bool), "a boolean"),
+    int: (
+        lambda value: isinstance(value, int) and not isinstance(value, bool),
+        "an integer",
+    ),
+    float: (
+        lambda value: isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value),
+        "a finite number",
+    ),
+    str: (lambda value: isinstance(value, str), "a string"),
+    list: (
+        lambda value: isinstance(value, list)
+        and all(isinstance(item, str) and item for item in value),
+        "a list of non-empty strings",
+    ),
+}
+
+
+def _check_knob(config: dict, path: str, knob: Knob) -> None:
+    """One knob of ``config``: its declared type, then its rule."""
+    value = _get(config, path, knob.name)
+    if value is None and knob.optional:
+        return
+    fits, expected = _KNOB_KINDS[knob.kind]
+    if not fits(value):
+        _fail(f"{path}.{knob.name}", f"expected {expected}, got {value!r}")
+    problem = knob.problem(value)
+    if problem is not None:
+        _fail(f"{path}.{knob.name}", problem)
 
 
 def _check_perf(perf: object, path: str) -> None:
@@ -369,71 +342,6 @@ def _check_serving(serving: object, path: str) -> None:
         _check_fleet_sla(fleet_sla, f"{path}.fleet_sla")
 
 
-def _check_cluster_tier(tier: object, path: str) -> None:
-    if not isinstance(tier, dict):
-        _fail(path, f"expected an object, got {tier!r}")
-    for key in ("replicas", "queries"):
-        value = _get(tier, path, key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            _fail(
-                f"{path}.{key}",
-                f"expected a non-negative integer, got {value!r}",
-            )
-    if tier["replicas"] == 0:
-        _fail(f"{path}.replicas", "expected >= 1 replica")
-    _check_fraction(tier, path, "share")
-    if tier["queries"] > 0:
-        # Latency statistics only exist for tiers that served queries;
-        # an idle overflow tier legitimately carries counts alone.
-        for key in ("p50_ms", "p99_ms", "p999_ms"):
-            _check_number(tier, path, key, minimum=0, exclusive=True)
-        _check_fraction(tier, path, "sla_attainment")
-
-
-def _check_cluster_result(result: object, rpath: str) -> None:
-    """A blended + per-tier serving result (cluster and sharding blocks)."""
-    if not isinstance(result, dict):
-        _fail(rpath, f"expected an object, got {result!r}")
-    _check_str(result, rpath, "router")
-    queries = _get(result, rpath, "queries")
-    if isinstance(queries, bool) or not isinstance(queries, int) or queries <= 0:
-        _fail(
-            f"{rpath}.queries",
-            f"expected a positive integer, got {queries!r}",
-        )
-    blended = _get(result, rpath, "blended")
-    if not isinstance(blended, dict):
-        _fail(f"{rpath}.blended", f"expected an object, got {blended!r}")
-    for key in CLUSTER_BLENDED_POSITIVE_FIELDS:
-        _check_number(
-            blended, f"{rpath}.blended", key, minimum=0, exclusive=True
-        )
-    _check_fraction(blended, f"{rpath}.blended", "sla_attainment")
-    tiers = _get(result, rpath, "tiers")
-    if not isinstance(tiers, dict) or not tiers:
-        _fail(f"{rpath}.tiers", f"expected a non-empty object, got {tiers!r}")
-    for name, tier in tiers.items():
-        if not isinstance(name, str) or not name:
-            _fail(f"{rpath}.tiers", f"tier keys must be strings, got {name!r}")
-        _check_cluster_tier(tier, f"{rpath}.tiers.{name}")
-    _check_number(result, rpath, "usd_per_hour", minimum=0, exclusive=True)
-    _check_number(result, rpath, "usd_per_million_queries", minimum=0)
-
-
-def _check_cluster(cluster: object, path: str) -> None:
-    """The v3 routed-cluster block: blended + per-tier serving stats."""
-    if not isinstance(cluster, dict):
-        _fail(path, f"expected an object, got {cluster!r}")
-    _check_str(cluster, path, "model")
-    _check_str_list(cluster, path, "tiers")
-    _check_str(cluster, path, "router")
-    _check_number(cluster, path, "rate_per_s", minimum=0, exclusive=True)
-    _check_number(cluster, path, "utilisation", minimum=0, exclusive=True)
-    _check_number(cluster, path, "duration_s", minimum=0, exclusive=True)
-    _check_number(cluster, path, "slo_ms", minimum=0, exclusive=True)
-    _check_cluster_result(_get(cluster, path, "result"), f"{path}.result")
-
-
 def _check_int(
     obj: dict, path: str, key: str, *, minimum: int = 0
 ) -> int:
@@ -446,258 +354,6 @@ def _check_int(
             f"expected an integer >= {minimum}, got {value!r}",
         )
     return value
-
-
-def _check_autoscale_window(window: object, path: str) -> None:
-    if not isinstance(window, dict):
-        _fail(path, f"expected an object, got {window!r}")
-    _check_int(window, path, "index")
-    _check_int(window, path, "nodes", minimum=1)
-    _check_int(window, path, "pending_nodes")
-    _check_int(window, path, "desired_nodes", minimum=1)
-    _check_int(window, path, "queries")
-    _check_number(window, path, "t_s", minimum=0)
-    _check_number(window, path, "interval_s", minimum=0, exclusive=True)
-    _check_number(window, path, "offered_rate_per_s", minimum=0)
-    _check_number(window, path, "utilisation", minimum=0)
-    _check_number(window, path, "queue_depth", minimum=0)
-    for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "tail_ms"):
-        _check_number(window, path, key, minimum=0, exclusive=True)
-    _check_fraction(window, path, "sla_attainment")
-    _check_fraction(window, path, "overflow_share")
-    # v7: nodes serving with not-yet-warm tier caches (0 on flat runs).
-    _check_int(window, path, "cold_nodes")
-
-
-def _check_autoscale(autoscale: object, path: str) -> None:
-    """The v4 elastic-fleet block: timeline + cost + static baseline."""
-    if not isinstance(autoscale, dict):
-        _fail(path, f"expected an object, got {autoscale!r}")
-    _check_str(autoscale, path, "model")
-    _check_str(autoscale, path, "backend")
-    _check_str(autoscale, path, "policy")
-    _check_int(autoscale, path, "windows", minimum=1)
-    _check_number(autoscale, path, "slo_ms", minimum=0, exclusive=True)
-    result = _get(autoscale, path, "result")
-    if not isinstance(result, dict):
-        _fail(f"{path}.result", f"expected an object, got {result!r}")
-    rpath = f"{path}.result"
-    _check_str(result, rpath, "backend")
-    _check_str(result, rpath, "policy")
-    _check_number(result, rpath, "slo_ms", minimum=0, exclusive=True)
-    _check_number(result, rpath, "slo_percentile", minimum=0, exclusive=True)
-    _check_number(result, rpath, "per_node_qps", minimum=0, exclusive=True)
-    _check_number(
-        result, rpath, "node_usd_per_hour", minimum=0, exclusive=True
-    )
-    _check_int(result, rpath, "min_nodes", minimum=1)
-    _check_int(result, rpath, "max_nodes", minimum=1)
-    _check_number(result, rpath, "provision_delay_s", minimum=0)
-    _check_number(result, rpath, "cooldown_s", minimum=0)
-    trace = _get(result, rpath, "trace")
-    if not isinstance(trace, dict):
-        _fail(f"{rpath}.trace", f"expected an object, got {trace!r}")
-    for key in ("mean_rate_per_s", "peak_rate_per_s", "duration_s"):
-        _check_number(trace, f"{rpath}.trace", key, minimum=0, exclusive=True)
-    timeline = _get(result, rpath, "timeline")
-    if not isinstance(timeline, list) or not timeline:
-        _fail(
-            f"{rpath}.timeline",
-            f"expected a non-empty list, got {timeline!r}",
-        )
-    for i, window in enumerate(timeline):
-        _check_autoscale_window(window, f"{rpath}.timeline[{i}]")
-    aggregate = _get(result, rpath, "aggregate")
-    if not isinstance(aggregate, dict):
-        _fail(f"{rpath}.aggregate", f"expected an object, got {aggregate!r}")
-    apath = f"{rpath}.aggregate"
-    _check_number(aggregate, apath, "mean_nodes", minimum=0, exclusive=True)
-    _check_int(aggregate, apath, "peak_nodes", minimum=1)
-    _check_int(aggregate, apath, "min_nodes", minimum=1)
-    _check_int(aggregate, apath, "scaling_actions")
-    for key in ("node_hours", "usd_total", "usd_per_hour", "worst_tail_ms"):
-        _check_number(aggregate, apath, key, minimum=0, exclusive=True)
-    _check_number(aggregate, apath, "usd_per_million_queries", minimum=0)
-    _check_number(aggregate, apath, "offered_queries", minimum=0)
-    _check_fraction(aggregate, apath, "sla_attainment")
-    _check_fraction(aggregate, apath, "overflow_share")
-    savings = _get(aggregate, apath, "usd_savings_vs_static")
-    if savings is not None:
-        # Savings may legitimately be negative (elasticity cost more);
-        # only the type and finiteness are pinned.
-        _check_number(aggregate, apath, "usd_savings_vs_static")
-    static = _get(result, rpath, "static_baseline")
-    if static is not None:
-        # null means the SLO sits below the engine's latency floor — no
-        # static fleet size can meet it, which is a legitimate result.
-        if not isinstance(static, dict):
-            _fail(
-                f"{rpath}.static_baseline",
-                f"expected null or an object, got {static!r}",
-            )
-        spath = f"{rpath}.static_baseline"
-        _check_int(static, spath, "nodes", minimum=1)
-        _check_int(static, spath, "throughput_only_nodes", minimum=1)
-        for key in ("usd_per_hour", "usd_total"):
-            _check_number(static, spath, key, minimum=0, exclusive=True)
-        _check_number(static, spath, "usd_per_million_queries", minimum=0)
-        _check_fraction(static, spath, "sla_attainment")
-
-
-def _check_plan_node(node: object, path: str) -> None:
-    if not isinstance(node, dict):
-        _fail(path, f"expected an object, got {node!r}")
-    _check_int(node, path, "node")
-    _check_str(node, path, "backend")
-    _check_number(node, path, "capacity_gb", minimum=0, exclusive=True)
-    _check_number(node, path, "bytes", minimum=0)
-    _check_fraction(node, path, "utilisation")
-    _check_int(node, path, "shards")
-
-
-def _check_plan(plan: object, path: str) -> None:
-    """A distplan :class:`~repro.distplan.plan.ShardingPlan` summary."""
-    if not isinstance(plan, dict):
-        _fail(path, f"expected an object, got {plan!r}")
-    _check_str(plan, path, "model")
-    _check_str(plan, path, "strategy")
-    _check_number(plan, path, "total_gb", minimum=0, exclusive=True)
-    _check_int(plan, path, "fanout", minimum=1)
-    _check_int(plan, path, "shards", minimum=1)
-    _check_int(plan, path, "sharded_tables")
-    # A valid plan never overflows a node, so max utilisation is a
-    # fraction — the capacity check is re-asserted here on the artifact.
-    _check_fraction(plan, path, "max_node_utilisation")
-    nodes = _get(plan, path, "nodes")
-    if not isinstance(nodes, list) or not nodes:
-        _fail(f"{path}.nodes", f"expected a non-empty list, got {nodes!r}")
-    for i, node in enumerate(nodes):
-        _check_plan_node(node, f"{path}.nodes[{i}]")
-
-
-def _check_sharding(sharding: object, path: str) -> None:
-    """The v5 sharded-serving block: plan + fan-out serving result."""
-    if not isinstance(sharding, dict):
-        _fail(path, f"expected an object, got {sharding!r}")
-    _check_str(sharding, path, "model")
-    _check_str_list(sharding, path, "tiers")
-    _check_str(sharding, path, "strategy")
-    _check_int(sharding, path, "nodes", minimum=1)
-    _check_number(sharding, path, "node_gb", minimum=0, exclusive=True)
-    _check_number(sharding, path, "rate_per_s", minimum=0, exclusive=True)
-    _check_number(sharding, path, "utilisation", minimum=0, exclusive=True)
-    _check_number(sharding, path, "duration_s", minimum=0, exclusive=True)
-    _check_number(sharding, path, "slo_ms", minimum=0, exclusive=True)
-    _check_plan(_get(sharding, path, "plan"), f"{path}.plan")
-    result = _get(sharding, path, "result")
-    _check_cluster_result(result, f"{path}.result")
-    _check_int(result, f"{path}.result", "fanout", minimum=1)
-    _check_str(result, f"{path}.result", "strategy")
-
-
-def _check_tiering(tiering: object, path: str) -> None:
-    """The v7 tiered-storage block: hierarchy + warm/cold curves."""
-    if not isinstance(tiering, dict):
-        _fail(path, f"expected an object, got {tiering!r}")
-    _check_str(tiering, path, "model")
-    _check_str(tiering, path, "backend")
-    _check_str(tiering, path, "policy")
-    hierarchy = _get(tiering, path, "hierarchy")
-    if not isinstance(hierarchy, dict):
-        _fail(f"{path}.hierarchy", f"expected an object, got {hierarchy!r}")
-    hpath = f"{path}.hierarchy"
-    _check_str(hierarchy, hpath, "policy")
-    _check_int(hierarchy, hpath, "row_bytes", minimum=1)
-    _check_int(hierarchy, hpath, "warm_accesses")
-    tiers = _get(hierarchy, hpath, "tiers")
-    if not isinstance(tiers, list) or len(tiers) < 2:
-        _fail(
-            f"{hpath}.tiers",
-            f"expected a list of >= 2 tiers, got {tiers!r}",
-        )
-    for i, tier in enumerate(tiers):
-        tpath = f"{hpath}.tiers[{i}]"
-        if not isinstance(tier, dict):
-            _fail(tpath, f"expected an object, got {tier!r}")
-        _check_str(tier, tpath, "name")
-        _check_int(tier, tpath, "capacity_bytes", minimum=1)
-        _check_int(tier, tpath, "capacity_rows")
-        _check_number(tier, tpath, "access_ns", minimum=0, exclusive=True)
-    popularity = _get(tiering, path, "popularity")
-    if not isinstance(popularity, dict):
-        _fail(
-            f"{path}.popularity",
-            f"expected an object, got {popularity!r}",
-        )
-    ppath = f"{path}.popularity"
-    _check_int(popularity, ppath, "rows", minimum=1)
-    _check_number(popularity, ppath, "alpha", minimum=0)
-    _check_number(popularity, ppath, "drift_rows_per_s", minimum=0)
-    steady = _get(tiering, path, "steady_state")
-    if not isinstance(steady, dict):
-        _fail(
-            f"{path}.steady_state", f"expected an object, got {steady!r}"
-        )
-    spath = f"{path}.steady_state"
-    _check_fraction(steady, spath, "hit_rate")
-    _check_number(
-        steady, spath, "effective_lookup_ns", minimum=0, exclusive=True
-    )
-    _check_number(
-        steady, spath, "hot_lookup_ns", minimum=0, exclusive=True
-    )
-    _check_int(steady, spath, "lookups_per_query", minimum=1)
-    fractions = _get(steady, spath, "tier_fractions")
-    if not isinstance(fractions, dict) or not fractions:
-        _fail(
-            f"{spath}.tier_fractions",
-            f"expected a non-empty object, got {fractions!r}",
-        )
-    for name in fractions:
-        _check_fraction(fractions, f"{spath}.tier_fractions", name)
-    _check_number(tiering, path, "slo_ms", minimum=0, exclusive=True)
-    _check_curve(_get(tiering, path, "warm"), f"{path}.warm")
-    _check_curve(_get(tiering, path, "cold"), f"{path}.cold")
-
-
-def _check_telemetry(telemetry: object, path: str) -> None:
-    """The v8 telemetry block: digest tails + dispatch/spill/hit shares."""
-    if not isinstance(telemetry, dict):
-        _fail(path, f"expected an object, got {telemetry!r}")
-    _check_str(telemetry, path, "model")
-    _check_str_list(telemetry, path, "tiers")
-    _check_str(telemetry, path, "router")
-    _check_number(telemetry, path, "rate_per_s", minimum=0, exclusive=True)
-    _check_number(telemetry, path, "utilisation", minimum=0, exclusive=True)
-    _check_number(telemetry, path, "duration_s", minimum=0, exclusive=True)
-    _check_int(telemetry, path, "queries", minimum=1)
-    latency = _get(telemetry, path, "latency_ms")
-    if not isinstance(latency, dict):
-        _fail(f"{path}.latency_ms", f"expected an object, got {latency!r}")
-    for key in ("p50", "p99", "p999"):
-        _check_number(
-            latency, f"{path}.latency_ms", key, minimum=0, exclusive=True
-        )
-    shares = _get(telemetry, path, "dispatch_shares")
-    if not isinstance(shares, dict) or not shares:
-        _fail(
-            f"{path}.dispatch_shares",
-            f"expected a non-empty object, got {shares!r}",
-        )
-    for name in shares:
-        _check_fraction(shares, f"{path}.dispatch_shares", name)
-    _check_fraction(telemetry, path, "spill_share")
-    hit_rates = _get(telemetry, path, "tier_hit_rates")
-    if hit_rates is not None:
-        # null when the sweep's tiering block is disabled — there is
-        # then no cache cascade to count hits from.
-        if not isinstance(hit_rates, dict) or not hit_rates:
-            _fail(
-                f"{path}.tier_hit_rates",
-                f"expected null or a non-empty object, got {hit_rates!r}",
-            )
-        for name in hit_rates:
-            _check_fraction(hit_rates, f"{path}.tier_hit_rates", name)
 
 
 def _check_result(result: object, path: str) -> None:
@@ -763,33 +419,26 @@ def validate_payload(payload: object) -> dict:
             "(regenerate the artifact or upgrade the consumer)",
         )
     _check_str(payload, "$", "name")
-    _check_config(_get(payload, "$", "config"), "$.config")
+    # The blocks module builds on the helpers above, so it loads late.
+    from repro.bench.blocks import BLOCKS, KNOBS
+
+    config = _get(payload, "$", "config")
+    _check_config(config, "$.config", KNOBS)
     _check_number(payload, "$", "wall_clock_s", minimum=0)
-    cluster = _get(payload, "$", "cluster")
-    if cluster is not None:
-        # null means the sweep ran with cluster_backends=() — the block
-        # is opt-out-able, its presence (the key) is not.
-        _check_cluster(cluster, "$.cluster")
-    autoscale = _get(payload, "$", "autoscale")
-    if autoscale is not None:
-        # Same contract as the cluster block: opt-out-able via
-        # autoscale_policy="", but the key itself must exist.
-        _check_autoscale(autoscale, "$.autoscale")
-    sharding = _get(payload, "$", "sharding")
-    if sharding is not None:
-        # Same contract again: opt-out-able via sharding_strategy="",
-        # but the key itself must exist.
-        _check_sharding(sharding, "$.sharding")
-    tiering = _get(payload, "$", "tiering")
-    if tiering is not None:
-        # Same contract again: opt-out-able via tiering_policy="",
-        # but the key itself must exist.
-        _check_tiering(tiering, "$.tiering")
-    telemetry = _get(payload, "$", "telemetry")
-    if telemetry is not None:
-        # Same contract again: opt-out-able via telemetry=false,
-        # but the key itself must exist.
-        _check_telemetry(telemetry, "$.telemetry")
+    for block in BLOCKS:
+        # A disabled block is null, an enabled one an object; the key
+        # itself must always exist.
+        value = _get(payload, "$", block.key)
+        path = f"$.{block.key}"
+        if value is None:
+            if block.enabled(config):
+                _fail(path, f"null, but config.{block.switch} enables it")
+            continue
+        if not block.enabled(config):
+            _fail(path, f"expected null: config.{block.switch} disables it")
+        if not isinstance(value, dict):
+            _fail(path, f"expected null or an object, got {value!r}")
+        block.validate(value, path, config)
     results = _get(payload, "$", "results")
     if not isinstance(results, list) or not results:
         _fail("$.results", f"expected a non-empty list, got {results!r}")
@@ -837,4 +486,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # Run the package's copy of this module: the block validators raise
+    # its BenchSchemaError, not this __main__ copy's.
+    from repro.bench.schema import main as _main
+
+    raise SystemExit(_main())

@@ -911,6 +911,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
+        BLOCKS,
         BenchConfig,
         BenchSchemaError,
         compare_payloads,
@@ -927,51 +928,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         overrides["models"] = tuple(args.model)
     if args.backend:
         overrides["backends"] = tuple(args.backend)
-    if args.no_cluster and args.cluster_backend:
-        return _fail("--no-cluster and --cluster-backend are mutually "
-                     "exclusive")
-    if args.no_cluster:
-        overrides["cluster_backends"] = ()
-    elif args.cluster_backend:
-        overrides["cluster_backends"] = tuple(args.cluster_backend)
-    elif args.backend:
-        # A restricted sweep should not silently build engines outside
-        # it: the cluster block follows the --backend filter unless the
-        # tiers are chosen explicitly.
-        overrides["cluster_backends"] = tuple(args.backend)
-    if args.cluster_router:
-        overrides["cluster_router"] = args.cluster_router
-    if args.no_autoscale and args.autoscale_policy:
-        return _fail("--no-autoscale and --autoscale-policy are mutually "
-                     "exclusive")
-    if args.no_autoscale:
-        overrides["autoscale_policy"] = ""
-    elif args.autoscale_policy:
-        overrides["autoscale_policy"] = args.autoscale_policy
-    if args.autoscale_windows is not None:
-        overrides["autoscale_windows"] = args.autoscale_windows
-    if args.no_sharding and args.sharding_strategy:
-        return _fail("--no-sharding and --sharding-strategy are mutually "
-                     "exclusive")
-    if args.no_sharding:
-        overrides["sharding_strategy"] = ""
-    elif args.sharding_strategy:
-        overrides["sharding_strategy"] = args.sharding_strategy
-    if args.sharding_nodes is not None:
-        overrides["sharding_nodes"] = args.sharding_nodes
-    if args.no_tiering and args.tiering_policy:
-        return _fail("--no-tiering and --tiering-policy are mutually "
-                     "exclusive")
-    if args.no_tiering:
-        overrides["tiering_policy"] = ""
-    elif args.tiering_policy:
-        overrides["tiering_policy"] = args.tiering_policy
-    if args.tiering_alpha is not None:
-        overrides["tiering_alpha"] = args.tiering_alpha
-    if args.tiering_hot_fraction is not None:
-        overrides["tiering_hot_fraction"] = args.tiering_hot_fraction
-    if args.no_telemetry:
-        overrides["telemetry"] = False
+    try:
+        for block in BLOCKS:
+            overrides.update(block.overrides(args))
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.batch:
         overrides["batches"] = tuple(args.batch)
     if args.max_rows is not None:
@@ -1654,68 +1615,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="CI-sized sweep: small batches, 256-row tables",
     )
-    p_bench.add_argument(
-        "--cluster-backend", action="append", default=None, metavar="NAME",
-        help="tier of the v3 cluster block (repeatable; default: the "
-        "--backend selection, or fpga gpu cpu when unrestricted)",
-    )
-    p_bench.add_argument(
-        "--cluster-router", default=None,
-        help="routing policy of the cluster block (default sla-aware)",
-    )
-    p_bench.add_argument(
-        "--no-cluster", action="store_true",
-        help='omit the cluster block ("cluster": null in the artifact)',
-    )
-    p_bench.add_argument(
-        "--autoscale-policy", default=None, metavar="NAME",
-        help="scaler policy of the v4 autoscale block (default "
-        "reactive-utilisation)",
-    )
-    p_bench.add_argument(
-        "--autoscale-windows", type=int, default=None, metavar="N",
-        help="control windows of the autoscale block (default 12)",
-    )
-    p_bench.add_argument(
-        "--no-autoscale", action="store_true",
-        help='omit the autoscale block ("autoscale": null in the artifact)',
-    )
-    p_bench.add_argument(
-        "--sharding-strategy", default=None, metavar="NAME",
-        help="strategy of the v5 sharding block (default auto: the "
-        "planner enumerates every registered strategy)",
-    )
-    p_bench.add_argument(
-        "--sharding-nodes", type=int, default=None, metavar="N",
-        help="node count of the sharding block (default 4)",
-    )
-    p_bench.add_argument(
-        "--no-sharding", action="store_true",
-        help='omit the sharding block ("sharding": null in the artifact)',
-    )
-    p_bench.add_argument(
-        "--tiering-policy", default=None, metavar="NAME",
-        help="cache policy of the v7 tiering block (default lru)",
-    )
-    p_bench.add_argument(
-        "--tiering-alpha", type=float, default=None, metavar="ALPHA",
-        help="Zipf skew of the tiering block's row popularity "
-        f"(default {DEFAULT_ALPHA})",
-    )
-    p_bench.add_argument(
-        "--tiering-hot-fraction", type=float, default=None, metavar="FRAC",
-        help="hot-tier share of the working set in the tiering block "
-        "(default 0.125)",
-    )
-    p_bench.add_argument(
-        "--no-tiering", action="store_true",
-        help='omit the tiering block ("tiering": null in the artifact)',
-    )
-    p_bench.add_argument(
-        "--no-telemetry", action="store_true",
-        help='omit the telemetry block ("telemetry": null in the '
-        "artifact)",
-    )
+    from repro.bench import BLOCKS
+
+    for block in BLOCKS:
+        for flag, dest, kwargs in block.flags():
+            p_bench.add_argument(flag, dest=dest, **kwargs)
     p_bench.add_argument(
         "--max-rows", type=int, default=None,
         help="row-cap tables before deployment (default: 4096, or 256 "

@@ -7,6 +7,7 @@ from typing import ClassVar
 import pytest
 
 from repro.bench import (
+    BLOCKS,
     SCHEMA_VERSION,
     BenchConfig,
     BenchSchemaError,
@@ -21,6 +22,30 @@ from repro.bench import (
 from repro.cli import main
 
 BACKENDS = ("fpga", "cpu", "gpu", "nmp")
+
+#: Runs a test once per top-level block, with the block key as its id.
+over_blocks = pytest.mark.parametrize(
+    "block", BLOCKS, ids=[block.key for block in BLOCKS]
+)
+
+
+def _disabled(payload, block):
+    """A copy of ``payload`` as if the sweep had switched ``block`` off."""
+    out = copy.deepcopy(payload)
+    out[block.key] = None
+    off = block.off
+    out["config"][block.switch] = list(off) if isinstance(off, tuple) else off
+    if block.key == "tiering":
+        # No cache cascade, so the telemetry block counts no tier hits.
+        out["telemetry"]["tier_hit_rates"] = None
+    return out
+
+
+def _scale(record, path, factor):
+    """Multiply the number at ``path`` (a key sequence) in ``record``."""
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] *= factor
 
 
 @pytest.fixture(scope="module")
@@ -182,13 +207,14 @@ class TestRunBench:
             config.cluster_backends
         )
 
-    def test_cluster_block_can_be_disabled(self, config):
+    @over_blocks
+    def test_disabled_block_is_null(self, block):
         quiet = BenchConfig.quick_config(
             backends=("cpu",), batches=(1,), max_rows=128,
-            cluster_backends=(), name="noclust",
+            name=f"no{block.key}", **{block.switch: block.off},
         )
         payload = run_bench(quiet)
-        assert payload["cluster"] is None
+        assert payload[block.key] is None
         assert validate_payload(payload) is payload
 
     def test_autoscale_block_present_and_consistent(self, payload, config):
@@ -206,15 +232,6 @@ class TestRunBench:
         assert payload["config"]["autoscale_policy"] == (
             config.autoscale_policy
         )
-
-    def test_autoscale_block_can_be_disabled(self):
-        quiet = BenchConfig.quick_config(
-            backends=("cpu",), batches=(1,), max_rows=128,
-            autoscale_policy="", name="noauto",
-        )
-        payload = run_bench(quiet)
-        assert payload["autoscale"] is None
-        assert validate_payload(payload) is payload
 
     def test_tiering_block_present_and_consistent(self, payload, config):
         tiering = payload["tiering"]
@@ -236,15 +253,6 @@ class TestRunBench:
             assert warm["rate_per_s"] == cold["rate_per_s"]
             assert cold["p99_ms"] > warm["p99_ms"]
         assert payload["config"]["tiering_policy"] == config.tiering_policy
-
-    def test_tiering_block_can_be_disabled(self):
-        quiet = BenchConfig.quick_config(
-            backends=("cpu",), batches=(1,), max_rows=128,
-            tiering_policy="", name="notier",
-        )
-        payload = run_bench(quiet)
-        assert payload["tiering"] is None
-        assert validate_payload(payload) is payload
 
     def test_pipelined_engines_hold_sla_capacity(self, payload):
         # The paper's claim in artifact form: under Poisson load at the
@@ -372,6 +380,7 @@ class TestValidator:
     def test_null_cluster_allowed(self, payload):
         ok = copy.deepcopy(payload)
         ok["cluster"] = None
+        ok["config"]["cluster_backends"] = []
         assert validate_payload(ok) is ok
 
     def test_rejects_bad_cluster_block(self, payload):
@@ -406,6 +415,7 @@ class TestValidator:
     def test_null_autoscale_allowed(self, payload):
         ok = copy.deepcopy(payload)
         ok["autoscale"] = None
+        ok["config"]["autoscale_policy"] = ""
         assert validate_payload(ok) is ok
 
     def test_rejects_bad_autoscale_block(self, payload):
@@ -449,6 +459,8 @@ class TestValidator:
     def test_null_tiering_allowed(self, payload):
         ok = copy.deepcopy(payload)
         ok["tiering"] = None
+        ok["config"]["tiering_policy"] = ""
+        ok["telemetry"]["tier_hit_rates"] = None
         assert validate_payload(ok) is ok
 
     def test_rejects_bad_tiering_block(self, payload):
@@ -470,6 +482,10 @@ class TestValidator:
         bad["tiering"]["popularity"]["alpha"] = -1.0
         with pytest.raises(BenchSchemaError, match="alpha"):
             validate_payload(bad)
+        bad = copy.deepcopy(payload)
+        bad["config"]["tiering_hot_fraction"] = 0.5
+        with pytest.raises(BenchSchemaError, match="tiering_hot_fraction"):
+            validate_payload(bad)
 
     def test_rejects_missing_tiering_config_knobs(self, payload):
         for knob in ("tiering_policy", "tiering_alpha",
@@ -487,6 +503,66 @@ class TestValidator:
             with pytest.raises(BenchSchemaError, match=knob):
                 validate_payload(bad)
 
+    @over_blocks
+    def test_rejects_missing_block_key(self, payload, block):
+        bad = copy.deepcopy(payload)
+        del bad[block.key]
+        with pytest.raises(BenchSchemaError, match=rf"\$\.{block.key}"):
+            validate_payload(bad)
+
+    @over_blocks
+    def test_null_block_allowed_when_disabled(self, payload, block):
+        ok = _disabled(payload, block)
+        assert validate_payload(ok) is ok
+
+    @over_blocks
+    def test_rejects_null_block_when_enabled(self, payload, block):
+        bad = copy.deepcopy(payload)
+        bad[block.key] = None
+        with pytest.raises(BenchSchemaError, match=rf"\$\.{block.key}: null"):
+            validate_payload(bad)
+
+    @over_blocks
+    def test_rejects_block_when_disabled(self, payload, block):
+        bad = _disabled(payload, block)
+        bad[block.key] = payload[block.key]
+        with pytest.raises(
+            BenchSchemaError, match=rf"\$\.{block.key}: expected null"
+        ):
+            validate_payload(bad)
+
+    def test_tier_hit_rates_follow_the_tiering_knob(self, payload):
+        bad = copy.deepcopy(payload)
+        bad["telemetry"]["tier_hit_rates"] = None
+        with pytest.raises(
+            BenchSchemaError, match=r"\$\.telemetry\.tier_hit_rates"
+        ):
+            validate_payload(bad)
+        bad = _disabled(payload, next(b for b in BLOCKS if b.key == "tiering"))
+        bad["telemetry"]["tier_hit_rates"] = (
+            payload["telemetry"]["tier_hit_rates"]
+        )
+        with pytest.raises(
+            BenchSchemaError, match=r"\$\.telemetry\.tier_hit_rates"
+        ):
+            validate_payload(bad)
+
+    def test_rejects_broken_block_invariants(self, payload):
+        bad = copy.deepcopy(payload)
+        latency = bad["telemetry"]["latency_ms"]
+        latency["p50"] = latency["p99"] * 2
+        with pytest.raises(BenchSchemaError, match="p50 <= p99 <= p999"):
+            validate_payload(bad)
+        bad = copy.deepcopy(payload)
+        for tier in bad["telemetry"]["dispatch_shares"]:
+            bad["telemetry"]["dispatch_shares"][tier] = 0.0
+        with pytest.raises(BenchSchemaError, match="summing to 1"):
+            validate_payload(bad)
+        bad = copy.deepcopy(payload)
+        bad["sharding"]["result"]["router"] = "sla-aware"
+        with pytest.raises(BenchSchemaError, match="fanout"):
+            validate_payload(bad)
+
     def test_wall_clock_budget_optional(self, payload):
         ok = copy.deepcopy(payload)
         ok["results"][0]["wall_clock_budget_s"] = None
@@ -500,6 +576,12 @@ class TestValidator:
             bad["results"][0]["wall_clock_budget_s"] = poison
             with pytest.raises(
                 BenchSchemaError, match="wall_clock_budget_s"
+            ):
+                validate_payload(bad)
+            bad = copy.deepcopy(payload)
+            bad["config"]["wall_clock_budget_multiplier"] = poison
+            with pytest.raises(
+                BenchSchemaError, match="wall_clock_budget_multiplier"
             ):
                 validate_payload(bad)
 
@@ -610,6 +692,7 @@ class TestCompare:
     def test_missing_cluster_blocks_compare_gracefully(self, payload):
         without = copy.deepcopy(payload)
         without["cluster"] = None
+        without["config"]["cluster_backends"] = []
         comparison = compare_payloads(payload, without)
         assert comparison["cluster"] is None
         assert not any(
@@ -641,6 +724,7 @@ class TestCompare:
     def test_missing_autoscale_blocks_compare_gracefully(self, payload):
         without = copy.deepcopy(payload)
         without["autoscale"] = None
+        without["config"]["autoscale_policy"] = ""
         comparison = compare_payloads(payload, without)
         assert comparison["autoscale"] is None
         assert not any(
@@ -673,10 +757,50 @@ class TestCompare:
     def test_missing_tiering_blocks_compare_gracefully(self, payload):
         without = copy.deepcopy(payload)
         without["tiering"] = None
+        without["config"]["tiering_policy"] = ""
+        without["telemetry"]["tier_hit_rates"] = None
         comparison = compare_payloads(payload, without)
         assert comparison["tiering"] is None
         assert not any(
             "tiering/tiered" in line for line in regressions(comparison)
+        )
+
+    @over_blocks
+    def test_identical_blocks_have_zero_deltas(self, payload, block):
+        comparison = compare_payloads(payload, payload)
+        assert list(comparison[block.key]) == list(block.directions)
+        for record in comparison[block.key].values():
+            assert record["delta_pct"] == 0.0
+
+    @over_blocks
+    def test_one_sided_null_block_compares_to_none(self, payload, block):
+        comparison = compare_payloads(payload, _disabled(payload, block))
+        assert comparison[block.key] is None
+        assert not any(
+            line.startswith(f"{block.label}:")
+            for line in regressions(comparison)
+        )
+
+    #: Per block: where one compared metric lives, how to worsen it, and
+    #: the regression line that must follow.
+    WORSENED: ClassVar[dict[str, tuple]] = {
+        "cluster": (("result", "blended", "p99_ms"), 2.0, "p99_ms rose"),
+        "autoscale": (
+            ("result", "aggregate", "mean_nodes"), 2.0, "mean_nodes rose",
+        ),
+        "sharding": (("plan", "fanout"), 2, "fanout rose"),
+        "tiering": (("steady_state", "hit_rate"), 0.5, "hit_rate fell"),
+        "telemetry": (("latency_ms", "p999"), 2.0, "digest_p999_ms rose"),
+    }
+
+    @over_blocks
+    def test_worsened_block_metric_is_a_regression(self, payload, block):
+        path, factor, moved = self.WORSENED[block.key]
+        worse = copy.deepcopy(payload)
+        _scale(worse[block.key], path, factor)
+        lines = regressions(compare_payloads(payload, worse))
+        assert any(
+            line.startswith(f"{block.label}: {moved}") for line in lines
         )
 
     def test_wall_clock_budget_gate(self, payload):
