@@ -1,13 +1,15 @@
 """RPR004 — registry hygiene.
 
-The project is held together by five string-keyed registries (backends,
-routing policies, scalers, sharding strategies, cache policies) plus
-the lint-rule registry itself.  Three conventions keep them debuggable:
+The project is held together by seven string-keyed registries, each a
+:class:`~repro.registry.Registry` (backends, routing policies, scalers,
+sharding strategies, cache policies, telemetry exporters and the
+lint-rule registry itself).  Three conventions keep them debuggable:
 
 * registry keys are **static** — either a string literal argument or a
-  string-literal ``name`` class attribute on the registered object;
-  computed keys (f-strings, concatenation, ``.format``) hide the key
-  from grep and from this linter;
+  string-literal ``name`` class attribute on the registered object,
+  registered with one inline ``register_x(SomeClass())`` call per
+  built-in; computed keys (f-strings, concatenation, ``.format``) hide
+  the key from grep and from this linter;
 * one key, one owner — the same key registered from two modules (without
   ``replace=True``) is a silent last-import-wins bug;
 * every ``Unknown*Error`` raise interpolates the available keys, so a
@@ -97,12 +99,12 @@ class _KeySite:
 
 @dataclass
 class _Resolver:
-    """Static resolution of the project's registration idioms."""
+    """Static resolution of the one registration idiom: a string
+    literal, or ``register_x(SomeClass())`` on a class defined in the
+    same module with a string-literal ``name``."""
 
     module: ModuleContext
     classes: dict[str, ast.ClassDef] = field(default_factory=dict)
-    assigns: dict[str, ast.expr] = field(default_factory=dict)
-    loop_bindings: dict[str, ast.expr] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         tree = self.module.tree
@@ -111,50 +113,29 @@ class _Resolver:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 self.classes[node.name] = node
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.assigns[target.id] = node.value
-            elif isinstance(node, ast.For) and isinstance(
-                node.target, ast.Name
-            ):
-                self.loop_bindings[node.target.id] = node.iter
 
-    def keys_for(self, arg: ast.expr) -> list[str] | None:
-        """Registry key(s) for one registration argument, or ``None``
-        when the idiom cannot be resolved statically."""
+    def key_for(self, arg: ast.expr) -> str | None:
+        """Registry key for one registration argument, or ``None``
+        when it is not the sanctioned idiom."""
         if isinstance(arg, ast.Constant) and isinstance(
             arg.value, str
         ):
-            return [arg.value]
+            return arg.value
         if isinstance(arg, ast.Call):
-            key = self._instance_key(arg)
-            return None if key is None else [key]
-        if isinstance(arg, ast.Name):
-            # `for _p in DEFAULT_POLICIES: register_policy(_p)`
-            iterable = self.loop_bindings.get(arg.id)
-            if isinstance(iterable, ast.Name):
-                iterable = self.assigns.get(iterable.id)
-            if isinstance(iterable, (ast.Tuple, ast.List)):
-                keys = []
-                for element in iterable.elts:
-                    if not isinstance(element, ast.Call):
-                        return None
-                    key = self._instance_key(element)
-                    if key is None:
-                        return None
-                    keys.append(key)
-                return keys
+            return self.class_key(arg)[0]
         return None
 
-    def _instance_key(self, call: ast.Call) -> str | None:
+    def class_key(
+        self, call: ast.Call
+    ) -> tuple[str | None, ast.AST | None]:
+        """:func:`_class_key_literal` of the instantiated class, or
+        ``(None, None)`` when it is not defined in this module."""
         if not isinstance(call.func, ast.Name):
-            return None
+            return None, None
         cls = self.classes.get(call.func.id)
         if cls is None:
-            return None
-        key, _node = _class_key_literal(cls)
-        return key
+            return None, None
+        return _class_key_literal(cls)
 
 
 class RegistryHygieneRule(Rule):
@@ -165,7 +146,7 @@ class RegistryHygieneRule(Rule):
         "and Unknown*Error raisers name the available keys"
     )
     rationale = (
-        "five registries resolve every CLI flag; a computed or "
+        "seven registries resolve every CLI flag; a computed or "
         "shadowed key turns a typo into silent misrouting instead of "
         "an actionable error"
     )
@@ -217,7 +198,7 @@ class RegistryHygieneRule(Rule):
                 )
                 return
             if isinstance(arg, ast.Call):
-                key, value_node = self._literal_or_bad(resolver, arg)
+                key, value_node = resolver.class_key(arg)
                 if key is None and value_node is not None:
                     yield module.finding(
                         value_node, self.name,
@@ -230,8 +211,8 @@ class RegistryHygieneRule(Rule):
             # sanctioned shadowing escape hatch.
             return
         for arg in key_args:
-            keys = resolver.keys_for(arg)
-            for key in keys or ():
+            key = resolver.key_for(arg)
+            if key is not None:
                 self._sites.append(
                     _KeySite(
                         module=module.relpath,
@@ -240,17 +221,6 @@ class RegistryHygieneRule(Rule):
                         key=key,
                     )
                 )
-
-    @staticmethod
-    def _literal_or_bad(
-        resolver: _Resolver, call: ast.Call
-    ) -> tuple[str | None, ast.AST | None]:
-        if not isinstance(call.func, ast.Name):
-            return None, None
-        cls = resolver.classes.get(call.func.id)
-        if cls is None:
-            return None, None
-        return _class_key_literal(cls)
 
     def _check_unknown_raise(
         self, module: ModuleContext, node: ast.Raise

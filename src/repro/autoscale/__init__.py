@@ -27,7 +27,6 @@ Quickstart::
 """
 
 from repro.autoscale.policies import (
-    DEFAULT_SCALERS,
     AutoscaleObservation,
     PredictiveTraceScaler,
     QueueDepthScaler,
@@ -65,5 +64,4 @@ __all__ = [
     "QueueDepthScaler",
     "PredictiveTraceScaler",
     "SlaFeedbackScaler",
-    "DEFAULT_SCALERS",
 ]

@@ -60,6 +60,8 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.registry import Registry
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.arrivals import RateTrace
 
@@ -158,49 +160,12 @@ class ScalerPolicy(Protocol):
         ...
 
 
-_REGISTRY: dict[str, ScalerPolicy] = {}
-
-
-def register_scaler(
-    scaler: ScalerPolicy, *, replace: bool = False
-) -> ScalerPolicy:
-    """Register ``scaler`` under ``scaler.name``.
-
-    Returns the scaler so the call can be used as a one-liner on an
-    instance.  Re-registering a name requires ``replace=True`` — the
-    same shadowing guard as :func:`repro.runtime.register_backend` and
-    :func:`repro.cluster.register_policy`.
-    """
-    name = getattr(scaler, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError(f"scaler {scaler!r} must expose a str .name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"scaler policy {name!r} is already registered; pass "
-            "replace=True to override"
-        )
-    _REGISTRY[name] = scaler
-    return scaler
-
-
-def get_scaler(name: str) -> ScalerPolicy:
-    """Look up a registered scaler policy by name.
-
-    Raises :class:`UnknownScalerError` naming every registered policy,
-    so a typo's fix is in the error message.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownScalerError(
-            f"unknown scaler policy {name!r}; registered policies: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_scalers() -> tuple[str, ...]:
-    """Sorted names of every registered scaler policy."""
-    return tuple(sorted(_REGISTRY))
+_REGISTRY: Registry[ScalerPolicy] = Registry(
+    "scaler policy", "policies", UnknownScalerError
+)
+register_scaler = _REGISTRY.register
+get_scaler = _REGISTRY.get
+available_scalers = _REGISTRY.available
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +342,8 @@ class SlaFeedbackScaler:
         return committed
 
 
-DEFAULT_SCALERS: tuple[ScalerPolicy, ...] = (
-    StaticScaler(),
-    ReactiveUtilisationScaler(),
-    QueueDepthScaler(),
-    PredictiveTraceScaler(),
-    SlaFeedbackScaler(),
-)
-
-for _scaler in DEFAULT_SCALERS:
-    register_scaler(_scaler)
+register_scaler(StaticScaler())
+register_scaler(ReactiveUtilisationScaler())
+register_scaler(QueueDepthScaler())
+register_scaler(PredictiveTraceScaler())
+register_scaler(SlaFeedbackScaler())

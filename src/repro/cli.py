@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def _fail(message: str) -> int:
@@ -737,21 +737,13 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
 
 
 def _cmd_tiers(args: argparse.Namespace) -> int:
-    from repro.memory import (
-        available_cache_policies,
-        scaled_tier_hierarchy,
-    )
+    from repro.memory import UnknownCachePolicyError, scaled_tier_hierarchy
     from repro.serving.arrivals import ARRIVAL_PROCESSES
     from repro.serving.lab import DEFAULT_UTILISATIONS, tiering_lab
     from repro.serving.popularity import DEFAULT_ALPHA, PopularityModel
 
     if (rc := _check_model(args.model)) is not None:
         return rc
-    if args.policy not in available_cache_policies():
-        return _fail(
-            f"unknown cache policy {args.policy!r}; "
-            f"available: {list(available_cache_policies())}"
-        )
     if args.process not in ARRIVAL_PROCESSES:
         return _fail(
             f"unknown arrival process {args.process!r}; "
@@ -787,7 +779,7 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
             slo_percentile=args.percentile,
             seed=args.seed,
         )
-    except ValueError as exc:
+    except (UnknownCachePolicyError, ValueError) as exc:
         return _fail(str(exc))
     payload = {"model": args.model, "seed": args.seed, **block}
     if args.json:
@@ -830,7 +822,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     from repro.serving.arrivals import ARRIVAL_PROCESSES, arrivals_for
     from repro.serving.lab import lab_seed
-    from repro.telemetry import SpanRecorder, available_exporters
+    from repro.telemetry import SpanRecorder, UnknownExporterError, get_exporter
 
     if (rc := _check_model(args.model)) is not None:
         return rc
@@ -839,11 +831,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"unknown arrival process {args.process!r}; "
             f"available: {list(ARRIVAL_PROCESSES)}"
         )
-    if args.exporter not in available_exporters():
-        return _fail(
-            f"unknown exporter {args.exporter!r}; "
-            f"available: {list(available_exporters())}"
-        )
+    try:
+        get_exporter(args.exporter)
+    except UnknownExporterError as exc:
+        return _fail(str(exc))
     if args.tier:
         from repro.cluster import UnknownRoutingPolicyError, deploy_cluster
         from repro.runtime import UnknownBackendError
@@ -1042,17 +1033,32 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
-    import repro
+def _registries() -> tuple[tuple[str, Callable[[], tuple[str, ...]]], ...]:
+    """Every name-keyed registry as ``(label, available_fn)``, in the
+    order ``repro info`` and the ``--help`` epilogs list them."""
     from repro.analysis import available_rules
     from repro.autoscale import available_scalers
     from repro.cluster import available_policies
     from repro.distplan import available_strategies
-    from repro.experiments.harness import EXPERIMENTS
     from repro.memory import available_cache_policies
-    from repro.models.spec import MODEL_FACTORIES
     from repro.runtime import available_backends
     from repro.telemetry import available_exporters
+
+    return (
+        ("backends", available_backends),
+        ("routing policies", available_policies),
+        ("scaler policies", available_scalers),
+        ("sharding strategies", available_strategies),
+        ("cache policies", available_cache_policies),
+        ("telemetry exporters", available_exporters),
+        ("lint rules", available_rules),
+    )
+
+
+def _cmd_info(args: argparse.Namespace) -> int:
+    import repro
+    from repro.experiments.harness import EXPERIMENTS
+    from repro.models.spec import MODEL_FACTORIES
 
     if args.json:
         models = {}
@@ -1067,13 +1073,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "version": repro.__version__,
-                    "backends": list(available_backends()),
-                    "routing_policies": list(available_policies()),
-                    "scaler_policies": list(available_scalers()),
-                    "sharding_strategies": list(available_strategies()),
-                    "cache_policies": list(available_cache_policies()),
-                    "telemetry_exporters": list(available_exporters()),
-                    "lint_rules": list(available_rules()),
+                    **{
+                        label.replace(" ", "_"): list(available())
+                        for label, available in _registries()
+                    },
                     "models": models,
                     "experiments": list(EXPERIMENTS),
                 },
@@ -1082,13 +1085,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
         )
         return 0
     print(f"repro {repro.__version__} — MicroRec (MLSys'21) reproduction")
-    print(f"\nbackends: {', '.join(available_backends())}")
-    print(f"routing policies: {', '.join(available_policies())}")
-    print(f"scaler policies: {', '.join(available_scalers())}")
-    print(f"sharding strategies: {', '.join(available_strategies())}")
-    print(f"cache policies: {', '.join(available_cache_policies())}")
-    print(f"telemetry exporters: {', '.join(available_exporters())}")
-    print(f"lint rules: {', '.join(available_rules())}")
+    print()
+    for label, available in _registries():
+        print(f"{label}: {', '.join(available())}")
     print("\nproduction models (+ benchmark family):")
     for name, factory in MODEL_FACTORIES.items():
         m = factory()
@@ -1107,27 +1106,14 @@ def _registry_epilog() -> str:
     hard-coded strings, so backends or routing policies registered by
     plugins (or future PRs) appear in the help text automatically.
     """
-    from repro.analysis import available_rules
-    from repro.autoscale import available_scalers
-    from repro.cluster import available_policies
-    from repro.distplan import available_strategies
-    from repro.memory import available_cache_policies
     from repro.models.spec import MODEL_FACTORIES
-    from repro.runtime import available_backends
-    from repro.telemetry import available_exporters
 
-    return (
-        f"registered models: {' | '.join(MODEL_FACTORIES)}\n"
-        f"registered backends: {' | '.join(available_backends())}\n"
-        f"registered routing policies: {' | '.join(available_policies())}\n"
-        f"registered scaler policies: {' | '.join(available_scalers())}\n"
-        f"registered sharding strategies: "
-        f"{' | '.join(available_strategies())}\n"
-        f"registered cache policies: "
-        f"{' | '.join(available_cache_policies())}\n"
-        f"registered telemetry exporters: "
-        f"{' | '.join(available_exporters())}\n"
-        f"registered lint rules: {' | '.join(available_rules())}"
+    return "\n".join(
+        [f"registered models: {' | '.join(MODEL_FACTORIES)}"]
+        + [
+            f"registered {label}: {' | '.join(available())}"
+            for label, available in _registries()
+        ]
     )
 
 

@@ -38,7 +38,6 @@ Quickstart::
 from repro.cluster.api import ReplicaSpec, deploy_cluster
 from repro.cluster.cluster import Cluster, ClusterServingResult
 from repro.cluster.routing import (
-    DEFAULT_POLICIES,
     CheapestFirstPolicy,
     LeastLoadedPolicy,
     ReplicaView,
@@ -68,5 +67,4 @@ __all__ = [
     "LeastLoadedPolicy",
     "CheapestFirstPolicy",
     "SlaAwarePolicy",
-    "DEFAULT_POLICIES",
 ]

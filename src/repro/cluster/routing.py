@@ -58,6 +58,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.registry import Registry
 
 class UnknownRoutingPolicyError(LookupError):
     """Raised when a routing-policy name is not in the registry."""
@@ -105,49 +106,12 @@ class RoutingPolicy(Protocol):
         ...
 
 
-_REGISTRY: dict[str, RoutingPolicy] = {}
-
-
-def register_policy(
-    policy: RoutingPolicy, *, replace: bool = False
-) -> RoutingPolicy:
-    """Register ``policy`` under ``policy.name``.
-
-    Returns the policy so the call can be used as a one-liner on an
-    instance.  Re-registering a name requires ``replace=True`` to guard
-    against accidental shadowing — the same contract as
-    :func:`repro.runtime.register_backend`.
-    """
-    name = getattr(policy, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError(f"policy {policy!r} must expose a str .name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"routing policy {name!r} is already registered; pass "
-            "replace=True to override"
-        )
-    _REGISTRY[name] = policy
-    return policy
-
-
-def get_policy(name: str) -> RoutingPolicy:
-    """Look up a registered routing policy by name.
-
-    Raises :class:`UnknownRoutingPolicyError` naming every registered
-    policy, so a typo's fix is in the error message.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownRoutingPolicyError(
-            f"unknown routing policy {name!r}; registered policies: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_policies() -> tuple[str, ...]:
-    """Sorted names of every registered routing policy."""
-    return tuple(sorted(_REGISTRY))
+_REGISTRY: Registry[RoutingPolicy] = Registry(
+    "routing policy", "policies", UnknownRoutingPolicyError
+)
+register_policy = _REGISTRY.register
+get_policy = _REGISTRY.get
+available_policies = _REGISTRY.available
 
 
 def dispatch_counts(
@@ -382,12 +346,7 @@ class SlaAwarePolicy:
         return np.array(out, dtype=np.int64)
 
 
-DEFAULT_POLICIES: tuple[RoutingPolicy, ...] = (
-    RoundRobinPolicy(),
-    LeastLoadedPolicy(),
-    CheapestFirstPolicy(),
-    SlaAwarePolicy(),
-)
-
-for _policy in DEFAULT_POLICIES:
-    register_policy(_policy)
+register_policy(RoundRobinPolicy())
+register_policy(LeastLoadedPolicy())
+register_policy(CheapestFirstPolicy())
+register_policy(SlaAwarePolicy())

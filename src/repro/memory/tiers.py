@@ -48,6 +48,7 @@ from repro.memory.spec import (
     u280_memory_system,
 )
 from repro.memory.timing import MemoryTimingModel, default_timing_model
+from repro.registry import Registry
 
 #: DDR sits behind 2 channels where HBM has 32 pseudo-channels, so under
 #: concurrent lookup traffic a DDR access pays a queueing/serialisation
@@ -181,54 +182,16 @@ class AdmitOnSecondTouchPolicy:
 # Cache-policy registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, CachePolicy] = {}
-
-
-def register_cache_policy(
-    policy: CachePolicy, *, replace: bool = False
-) -> None:
-    """Register a cache policy under ``policy.name``.
-
-    Refuses to overwrite an existing name unless ``replace=True``, so
-    plug-ins cannot silently shadow the built-ins.
-    """
-    name = getattr(policy, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ValueError(
-            f"cache policy {policy!r} needs a non-empty string .name"
-        )
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"cache policy {name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _REGISTRY[name] = policy
-
-
-def get_cache_policy(name: str) -> CachePolicy:
-    """Look up a registered cache policy by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownCachePolicyError(
-            f"unknown cache policy {name!r}; available: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_cache_policies() -> tuple[str, ...]:
-    """Sorted names of every registered cache policy."""
-    return tuple(sorted(_REGISTRY))
-
-
-DEFAULT_CACHE_POLICIES: tuple[CachePolicy, ...] = (
-    LruPolicy(),
-    LfuPolicy(),
-    AdmitOnSecondTouchPolicy(),
+_REGISTRY: Registry[CachePolicy] = Registry(
+    "cache policy", "policies", UnknownCachePolicyError
 )
+register_cache_policy = _REGISTRY.register
+get_cache_policy = _REGISTRY.get
+available_cache_policies = _REGISTRY.available
 
-for _policy in DEFAULT_CACHE_POLICIES:
-    register_cache_policy(_policy)
+register_cache_policy(LruPolicy())
+register_cache_policy(LfuPolicy())
+register_cache_policy(AdmitOnSecondTouchPolicy())
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from repro.telemetry.digest import (
     exact_quantile,
 )
 from repro.telemetry.metrics import (
-    DEFAULT_EXPORTERS,
     Counter,
     Gauge,
     Histogram,
@@ -78,7 +77,6 @@ __all__ = [
     "available_exporters",
     "get_exporter",
     "register_exporter",
-    "DEFAULT_EXPORTERS",
     "SPAN_PHASES",
     "RequestSpan",
     "SpanRecorder",

@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.telemetry.digest import QuantileDigest
+from repro.registry import Registry
 from repro.telemetry.spans import SpanRecorder
 
 #: Percentiles every histogram snapshot reports (keys in the snapshot
@@ -302,49 +303,13 @@ class TableExporter:
         return "\n".join(lines) + "\n"
 
 
-_REGISTRY: dict[str, object] = {}
-
-
-def register_exporter(exporter: object, *, replace: bool = False) -> None:
-    """Register an exporter under its ``name`` key.
-
-    Same contract as the other registries: the name must be a string,
-    and re-registering an existing key requires ``replace=True``.
-    """
-    name = getattr(exporter, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ValueError(
-            f"exporter {exporter!r} needs a non-empty string `name`"
-        )
-    if not replace and name in _REGISTRY:
-        raise ValueError(
-            f"exporter {name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    _REGISTRY[name] = exporter
-
-
-def get_exporter(name: str) -> object:
-    """Look up a registered exporter by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownExporterError(
-            f"unknown exporter {name!r}; registered exporters: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_exporters() -> tuple[str, ...]:
-    """Sorted names of every registered exporter."""
-    return tuple(sorted(_REGISTRY))
-
-
-DEFAULT_EXPORTERS: tuple = (
-    JsonExporter(),
-    PrometheusTextExporter(),
-    TableExporter(),
+_REGISTRY: Registry[object] = Registry(
+    "exporter", "exporters", UnknownExporterError
 )
+register_exporter = _REGISTRY.register
+get_exporter = _REGISTRY.get
+available_exporters = _REGISTRY.available
 
-for _exporter in DEFAULT_EXPORTERS:
-    register_exporter(_exporter)
+register_exporter(JsonExporter())
+register_exporter(PrometheusTextExporter())
+register_exporter(TableExporter())

@@ -85,7 +85,7 @@ class TestRuleRegistry:
                 register_rule(ProbeRule())
             register_rule(ProbeRule(), replace=True)
         finally:
-            _REGISTRY.pop("RPR998", None)
+            _REGISTRY.entries.pop("RPR998", None)
 
     def test_epilog_lists_every_rule(self):
         epilog = rules_epilog()
@@ -337,6 +337,38 @@ class TestRegistryHygiene:
                 )
         """}, select=["RPR004"])
         assert report.clean
+
+    def test_resolves_every_builtin_registration_in_src(self):
+        # The duplicate-key check only guards keys it can see: linting
+        # src/ must collect exactly the built-ins of all seven registries.
+        from repro.analysis.context import discover_files, load_module
+        from repro.analysis.rules_registry import RegistryHygieneRule
+        from repro.autoscale import available_scalers
+        from repro.cluster import available_policies
+        from repro.distplan import available_strategies
+        from repro.memory import available_cache_policies
+        from repro.runtime import available_backends
+        from repro.telemetry import available_exporters
+
+        root = Path(__file__).resolve().parent.parent
+        rule = RegistryHygieneRule()
+        for path in discover_files([str(root / "src")]):
+            list(rule.check_module(load_module(path, root)))
+        collected = {(site.registry, site.key) for site in rule._sites}
+        expected = {
+            (registry, key)
+            for registry, available in (
+                ("register_backend", available_backends),
+                ("register_policy", available_policies),
+                ("register_scaler", available_scalers),
+                ("register_strategy", available_strategies),
+                ("register_cache_policy", available_cache_policies),
+                ("register_exporter", available_exporters),
+                ("register_rule", available_rules),
+            )
+            for key in available()
+        }
+        assert collected == expected
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ class TestRoutingRegistry:
             assert result.tier_counts()["cpu"] == 0
             assert result.tier_counts()["fpga"] == result.count
         finally:
-            del _REGISTRY["always-first-test"]
+            del _REGISTRY.entries["always-first-test"]
 
 
 def _views(sessions, names):

@@ -82,7 +82,7 @@ class TestPolicyRegistry:
             stats = hierarchy.simulate(np.array([1, 1, 1, 1]))
             assert stats.hit_rate == 0.0
         finally:
-            del tiers_module._REGISTRY["test-always-miss"]
+            del tiers_module._REGISTRY.entries["test-always-miss"]
 
 
 class TestPolicies:

@@ -408,6 +408,11 @@ class TestCliTiers:
     def test_unknown_policy_exits_2(self, capsys):
         assert main([*self.ARGS, "--policy", "belady"]) == 2
         assert "belady" in capsys.readouterr().err
+        # `repro stats --exporter` resolves through the same registry path.
+        assert main(
+            ["stats", "small", "--max-rows", "128", "--exporter", "csv"]
+        ) == 2
+        assert "registered exporters: json" in capsys.readouterr().err
 
     def test_unknown_model_exits_2(self):
         assert main(["tiers", "galactic"]) == 2
