@@ -11,28 +11,32 @@ Usage::
     repro plan-shards MODEL [options]      # shard one model across nodes
     repro autoscale MODEL [options]        # elastic fleet through a trace
     repro tiers MODEL [options]            # tiered storage: warm vs cold
+    repro stats MODEL [options]            # telemetry plane of one window
     repro bench [options]                  # backend x model x batch sweep
+    repro lint PATH [PATH ...] [options]   # AST invariant checker
     repro info                             # library / model overview
 
 (Also runnable as ``python -m repro``.)  ``MODEL`` is a registered model
 name; ``--backend`` selects a registered inference backend, ``--router``
-(on ``cluster``) a registered routing policy, ``--policy`` (on
+(on ``cluster``/``stats``) a registered routing policy, ``--policy`` (on
 ``autoscale``) a registered scaler policy (on ``tiers``, a registered
-cache policy), and ``--strategy`` (on ``plan-shards``) a registered
-sharding strategy — the ``--help`` epilog
+cache policy), ``--strategy`` (on ``plan-shards``) a registered
+sharding strategy, and ``--exporter`` (on ``stats``) a registered
+telemetry exporter — the ``--help`` epilog
 lists the registries live, so third-party plugins show up automatically.
 ``--json`` on ``plan``/``infer``/``fleet``/``serve``/``cluster``/
-``plan-shards``/``autoscale``/``tiers``/``bench``/``info`` emits
-machine-readable output for
+``plan-shards``/``autoscale``/``tiers``/``stats``/``bench``/``lint``/
+``info`` emits machine-readable output for
 scripting: with ``--json``, stdout carries *only* the JSON document
 (progress goes to stderr), so the output pipes straight into ``python -m
-json.tool``.
+json.tool``.  Bad input exits 2 with a one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -42,14 +46,29 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _check_model(name: str) -> int | None:
+def _require_known(what: str, names: str | Sequence[str], known: list) -> None:
+    """Raise ``ValueError`` unless every name is in ``known``.
+
+    ``names`` is one name, or a sequence whose unknowns are reported
+    together (``what`` then reads e.g. ``"experiment(s)"``).
+    """
+    if isinstance(names, str):
+        if names not in known:
+            raise ValueError(f"unknown {what} {names!r}; available: {known}")
+    elif unknown := [n for n in names if n not in known]:
+        raise ValueError(f"unknown {what} {unknown}; available: {known}")
+
+
+def _check_model(name: str) -> None:
     from repro.models.spec import MODEL_FACTORIES
 
-    if name not in MODEL_FACTORIES:
-        return _fail(
-            f"unknown model {name!r}; available: {sorted(MODEL_FACTORIES)}"
-        )
-    return None
+    _require_known("model", name, sorted(MODEL_FACTORIES))
+
+
+def _check_process(name: str) -> None:
+    from repro.serving.arrivals import ARRIVAL_PROCESSES
+
+    _require_known("arrival process", name, list(ARRIVAL_PROCESSES))
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -57,60 +76,40 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_table
 
     names = args.names or list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        return _fail(
-            f"unknown experiment(s) {unknown}; available: {sorted(EXPERIMENTS)}"
-        )
+    _require_known("experiment(s)", names, sorted(EXPERIMENTS))
     for name in names:
         print(render_table(EXPERIMENTS[name]()))
         print()
     return 0
 
 
-def _planner_config(args: argparse.Namespace):
-    from repro.core.planner import PlannerConfig
+def _build_session(model: str, backend: str, max_rows: int | None, **knobs):
+    from repro.runtime import deploy_model
 
-    return PlannerConfig(
-        enable_cartesian=not args.no_cartesian,
-        max_candidate_rows=args.max_candidate_rows,
-        max_product_bytes=args.max_product_bytes,
-    )
-
-
-def _build_session(args: argparse.Namespace, **knobs):
-    """Deploy the requested model/backend, translating errors to exit 2."""
-    from repro.runtime import UnknownBackendError, deploy_model
-
-    try:
-        return deploy_model(
-            args.model,
-            backend=args.backend,
-            max_rows=getattr(args, "max_rows", None),
-            **knobs,
-        )
-    except (UnknownBackendError, ValueError) as exc:
-        _fail(str(exc))
-        return None
+    return deploy_model(model, backend=backend, max_rows=max_rows, **knobs)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.core.planner import PlannerConfig
     from repro.memory.spec import u280_memory_system
     from repro.memory.timing import MemoryTimingModel
 
-    if (rc := _check_model(args.model)) is not None:
-        return rc
+    _check_model(args.model)
     memory = u280_memory_system(
         hbm_channels=args.hbm_channels, onchip_banks=args.onchip_banks
     )
     session = _build_session(
-        args,
+        args.model,
+        args.backend,
+        args.max_rows,
         memory=memory,
         timing=MemoryTimingModel(axi=memory.axi),
-        planner_config=_planner_config(args),
+        planner_config=PlannerConfig(
+            enable_cartesian=not args.no_cartesian,
+            max_candidate_rows=args.max_candidate_rows,
+            max_product_bytes=args.max_product_bytes,
+        ),
     )
-    if session is None:
-        return 2
     plan = getattr(session, "plan", None)
     if args.show_merges and plan is None:
         return _fail(
@@ -156,13 +155,13 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     from repro.models.workload import QueryGenerator
 
-    if (rc := _check_model(args.model)) is not None:
-        return rc
+    _check_model(args.model)
     if args.batch <= 0:
         return _fail(f"--batch must be positive, got {args.batch}")
-    session = _build_session(args, precision=args.precision, seed=args.seed)
-    if session is None:
-        return 2
+    session = _build_session(
+        args.model, args.backend, args.max_rows,
+        precision=args.precision, seed=args.seed,
+    )
     queries = QueryGenerator(session.model, seed=args.seed).batch(args.batch)
     preds = session.infer(queries)
     reference = session.reference().infer(queries)
@@ -199,20 +198,14 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.deploy.capacity import plan_fleet_for
 
-    if (rc := _check_model(args.model)) is not None:
-        return rc
-    backends = args.backend or ["fpga", "cpu"]
-    estimates = []
-    for name in backends:
-        args_one = argparse.Namespace(**{**vars(args), "backend": name})
-        session = _build_session(args_one, precision=args.precision)
-        if session is None:
-            return 2
-        estimates.append(session.perf())
-    try:
-        fleets = plan_fleet_for(args.qps, estimates, headroom=args.headroom)
-    except ValueError as exc:
-        return _fail(str(exc))
+    _check_model(args.model)
+    estimates = [
+        _build_session(
+            args.model, name, args.max_rows, precision=args.precision
+        ).perf()
+        for name in args.backend or ["fpga", "cpu"]
+    ]
+    fleets = plan_fleet_for(args.qps, estimates, headroom=args.headroom)
     if args.json:
         print(
             json.dumps(
@@ -235,7 +228,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.runtime import available_backends
+    from repro.runtime import UnknownBackendError, available_backends
     from repro.serving.arrivals import ARRIVAL_PROCESSES
     from repro.serving.lab import (
         DEFAULT_PROCESSES,
@@ -243,17 +236,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session_lab,
     )
 
-    if (rc := _check_model(args.model)) is not None:
-        return rc
+    _check_model(args.model)
     processes = tuple(args.process or DEFAULT_PROCESSES)
-    unknown = [p for p in processes if p not in ARRIVAL_PROCESSES]
-    if unknown:
-        return _fail(
-            f"unknown arrival process(es) {unknown}; "
-            f"available: {list(ARRIVAL_PROCESSES)}"
-        )
-    explicit_backends = args.backend is not None
-    backends = args.backend or list(available_backends())
+    _require_known("arrival process(es)", processes, list(ARRIVAL_PROCESSES))
     sweep_knobs = {
         "processes": processes,
         "rates": tuple(args.rate) if args.rate else None,
@@ -264,41 +249,39 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     report: dict[str, object] = {}
-    for name in backends:
-        args_one = argparse.Namespace(**{**vars(args), "backend": name})
-        session = _build_session(args_one, seed=args.seed)
-        if session is None:
-            if explicit_backends:
-                return 2
+    for name in args.backend or available_backends():
+        try:
+            session = _build_session(
+                args.model, name, args.max_rows, seed=args.seed
+            )
+        except (UnknownBackendError, ValueError) as exc:
+            if args.backend:
+                raise
             # Sweeping every registered backend: some cannot deploy this
             # model as-is (fpga-compressed needs --max-rows to fit its
             # 256 MiB materialisation limit) — skip them with a note
             # rather than discarding the whole lab.
+            print(exc, file=sys.stderr)
             print(f"serve {args.model}/{name}: skipped (cannot deploy; "
                   "see error above)", file=sys.stderr)
             continue
         print(f"serve {args.model}/{name} ...", file=sys.stderr)
+        lab = session_lab(session, **sweep_knobs)
+        lab["fleet"] = session.fleet(args.qps, headroom=args.headroom).as_dict()
         try:
-            lab = session_lab(session, **sweep_knobs)
-            fleet = session.fleet(args.qps, headroom=args.headroom)
-            try:
-                fleet_sla = session.fleet_sla(
-                    args.qps,
-                    slo_ms=args.slo_ms,
-                    slo_percentile=args.percentile,
-                    duration_s=args.duration_s,
-                    headroom=args.headroom,
-                    seed=args.seed,
-                ).as_dict()
-            except ValueError as exc:
-                # The SLO sits below this engine's latency floor: no fleet
-                # size can meet it, which is itself a lab result.
-                fleet_sla = None
-                print(f"  fleet-sla: {exc}", file=sys.stderr)
+            lab["fleet_sla"] = session.fleet_sla(
+                args.qps,
+                slo_ms=args.slo_ms,
+                slo_percentile=args.percentile,
+                duration_s=args.duration_s,
+                headroom=args.headroom,
+                seed=args.seed,
+            ).as_dict()
         except ValueError as exc:
-            return _fail(str(exc))
-        lab["fleet"] = fleet.as_dict()
-        lab["fleet_sla"] = fleet_sla
+            # The SLO sits below this engine's latency floor: no fleet
+            # size can meet it, which is itself a lab result.
+            lab["fleet_sla"] = None
+            print(f"  fleet-sla: {exc}", file=sys.stderr)
         report[name] = lab
     if not report:
         return _fail("no backend could deploy this model (see errors above)")
@@ -373,54 +356,72 @@ def _parse_tier(text: str, default_model: str):
     return ReplicaSpec(model=model, backend=parts[0], count=count)
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
+def _deploy_tiers(args: argparse.Namespace, default: list[str], *,
+                  sharded: bool = False, node_capacity_bytes: int | None = None):
+    """Parse ``--tier`` (``default`` when absent) and deploy the tiers.
+
+    Returns ``(tier_texts, surface)``: a routed cluster, or with
+    ``sharded`` the one model ``args.model`` sharded across every node.
+    """
+    from repro.cluster import deploy_cluster
+    from repro.distplan import deploy_sharded
+
+    texts = args.tier or default
+    specs = [_parse_tier(text, args.model) for text in texts]
+    for text, spec in zip(texts, specs):
+        if sharded and spec.model != args.model:
+            raise ValueError(
+                f"plan-shards serves one model across the cluster; "
+                f"--tier {text!r} names a different model "
+                f"({spec.model!r} != {args.model!r})"
+            )
+        _check_model(spec.model)
+    common = {"slo_ms": args.slo_ms, "max_rows": args.max_rows,
+              "seed": args.seed}
+    if sharded:
+        return texts, deploy_sharded(
+            args.model, specs, args.strategy,
+            node_capacity_bytes=node_capacity_bytes, **common,
+        )
+    return texts, deploy_cluster(specs, router=args.router, **common)
+
+
+def _offered_rate(rate: float | None, scale: float, capacity: float) -> float:
+    """``rate`` when given, else ``scale`` x ``capacity``; must be > 0."""
+    rate = rate if rate is not None else scale * capacity
+    if rate <= 0:
+        raise ValueError(f"offered rate must be positive, got {rate}")
+    return rate
+
+
+def _serve_seeded(surface, args, process: str, rate: float, *tags):
+    """Serve one ``args.duration_s`` window of ``process`` arrivals,
+    seeded by ``lab_seed(args.seed, surface.backend, *tags)``.
+
+    Returns ``(arrivals, result)``.
+    """
     import numpy as np
 
-    from repro.cluster import Cluster, UnknownRoutingPolicyError, deploy_cluster
-    from repro.runtime import UnknownBackendError
-    from repro.serving.arrivals import ARRIVAL_PROCESSES, arrivals_for
+    from repro.serving.arrivals import arrivals_for
     from repro.serving.lab import lab_seed
 
-    if (rc := _check_model(args.model)) is not None:
-        return rc
-    if args.process not in ARRIVAL_PROCESSES:
-        return _fail(
-            f"unknown arrival process {args.process!r}; "
-            f"available: {list(ARRIVAL_PROCESSES)}"
-        )
-    tier_texts = args.tier or ["fpga", "gpu", "cpu"]
-    try:
-        specs = [_parse_tier(text, args.model) for text in tier_texts]
-    except ValueError as exc:
-        return _fail(str(exc))
-    for spec in specs:
-        if (rc := _check_model(spec.model)) is not None:
-            return rc
-    try:
-        cluster = deploy_cluster(
-            specs,
-            router=args.router,
-            slo_ms=args.slo_ms,
-            max_rows=args.max_rows,
-            seed=args.seed,
-        )
-    except (UnknownRoutingPolicyError, UnknownBackendError, ValueError) as exc:
-        return _fail(str(exc))
+    rng = np.random.default_rng(lab_seed(args.seed, surface.backend, *tags))
+    arrivals = arrivals_for(process, rng, rate, args.duration_s)
+    return arrivals, surface.serve(arrivals)
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.cluster import Cluster
+
+    _check_model(args.model)
+    _check_process(args.process)
+    tier_texts, cluster = _deploy_tiers(args, ["fpga", "gpu", "cpu"])
     capacity = cluster.perf().throughput_items_per_s
-    rate = args.rate if args.rate is not None else args.utilisation * capacity
-    if rate <= 0:
-        return _fail(f"offered rate must be positive, got {rate}")
-    rng = np.random.default_rng(
-        lab_seed(args.seed, cluster.backend, args.process, "cli")
+    rate = _offered_rate(args.rate, args.utilisation, capacity)
+    arrivals, result = _serve_seeded(
+        cluster, args, args.process, rate, args.process, "cli"
     )
-    try:
-        arrivals = arrivals_for(args.process, rng, rate, args.duration_s)
-        result = cluster.serve(arrivals)
-        fleet = cluster.fleet(args.qps, headroom=args.headroom)
-    except ValueError as exc:
-        # Bad knobs (negative duration, headroom out of (0, 1], ...)
-        # exit 2 with the library's one-line message, never a traceback.
-        return _fail(str(exc))
+    fleet = cluster.fleet(args.qps, headroom=args.headroom)
 
     # The routed story needs its null hypothesis: the same traffic on a
     # homogeneous fleet of each tier at the same total node count,
@@ -515,65 +516,18 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_shards(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.distplan import (
-        ShardingPlanError,
-        UnknownShardingStrategyError,
-        deploy_sharded,
-    )
-    from repro.runtime import UnknownBackendError
-    from repro.serving.arrivals import arrivals_for
-    from repro.serving.lab import lab_seed
-
-    if (rc := _check_model(args.model)) is not None:
-        return rc
-    tier_texts = args.tier or ["fpga:4"]
-    try:
-        specs = [_parse_tier(text, args.model) for text in tier_texts]
-    except ValueError as exc:
-        return _fail(str(exc))
-    for text, spec in zip(tier_texts, specs):
-        if spec.model != args.model:
-            return _fail(
-                f"plan-shards serves one model across the cluster; "
-                f"--tier {text!r} names a different model "
-                f"({spec.model!r} != {args.model!r})"
-            )
+    _check_model(args.model)
     node_capacity = (
         int(args.node_gb * 1024**3) if args.node_gb is not None else None
     )
     if node_capacity is not None and node_capacity <= 0:
         return _fail(f"--node-gb must be positive, got {args.node_gb}")
-    try:
-        cluster = deploy_sharded(
-            args.model,
-            specs,
-            args.strategy,
-            slo_ms=args.slo_ms,
-            max_rows=args.max_rows,
-            seed=args.seed,
-            node_capacity_bytes=node_capacity,
-        )
-    except (
-        UnknownShardingStrategyError,
-        ShardingPlanError,
-        UnknownBackendError,
-        ValueError,
-    ) as exc:
-        return _fail(str(exc))
-    capacity = cluster.perf().throughput_items_per_s
-    rate = args.rate if args.rate is not None else args.utilisation * capacity
-    if rate <= 0:
-        return _fail(f"offered rate must be positive, got {rate}")
-    rng = np.random.default_rng(
-        lab_seed(args.seed, cluster.backend, "plan-shards")
+    tier_texts, cluster = _deploy_tiers(
+        args, ["fpga:4"], sharded=True, node_capacity_bytes=node_capacity
     )
-    try:
-        arrivals = arrivals_for("poisson", rng, rate, args.duration_s)
-        result = cluster.serve(arrivals)
-    except ValueError as exc:
-        return _fail(str(exc))
+    capacity = cluster.perf().throughput_items_per_s
+    rate = _offered_rate(args.rate, args.utilisation, capacity)
+    _, result = _serve_seeded(cluster, args, "poisson", rate, "plan-shards")
     plan = cluster.plan
     payload = {
         "model": args.model,
@@ -615,78 +569,44 @@ def _cmd_plan_shards(args: argparse.Namespace) -> int:
     return 0
 
 
-def _autoscale_trace(
-    name: str, rate_per_s: float, duration_s: float, seed: int
-):
-    """Build the named offered-load trace around a base rate.
-
-    Shape construction (and default parameters) live in
-    :func:`repro.serving.arrivals.trace_for`; only the deterministic
-    seeding of the bursty shape's modulation path is decided here.
-    """
+def _cmd_autoscale(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.serving.arrivals import trace_for
+    from repro.autoscale import available_scalers, compare_policies, get_scaler
+    from repro.serving.arrivals import TRACE_SHAPES, trace_for
     from repro.serving.lab import lab_seed
 
-    rng = np.random.default_rng(lab_seed(seed, "autoscale-trace"))
-    return trace_for(name, rng, rate_per_s, duration_s)
-
-
-def _cmd_autoscale(args: argparse.Namespace) -> int:
-    from repro.autoscale import (
-        UnknownScalerError,
-        available_scalers,
-        compare_policies,
-        get_scaler,
-    )
-    from repro.serving.arrivals import TRACE_SHAPES
-
-    if (rc := _check_model(args.model)) is not None:
-        return rc
-    if args.trace not in TRACE_SHAPES:
-        return _fail(
-            f"unknown trace {args.trace!r}; "
-            f"available: {list(TRACE_SHAPES)}"
-        )
+    _check_model(args.model)
+    _require_known("trace", args.trace, list(TRACE_SHAPES))
     policies = args.policy or list(available_scalers())
-    try:
-        for name in policies:
-            get_scaler(name)  # fail on typos before any build work
-    except UnknownScalerError as exc:
-        return _fail(str(exc))
-    session = _build_session(args, seed=args.seed)
-    if session is None:
-        return 2
+    for name in policies:
+        get_scaler(name)  # fail on typos before any build work
+    session = _build_session(
+        args.model, args.backend, args.max_rows, seed=args.seed
+    )
     per_node = session.perf().throughput_items_per_s
-    rate = args.rate if args.rate is not None else args.nodes_mean * per_node
-    duration_s = args.windows * args.interval_s
-    if rate <= 0 or duration_s <= 0:
-        return _fail(
-            f"offered rate and horizon must be positive, got rate={rate}, "
-            f"duration={duration_s}"
-        )
-    trace = _autoscale_trace(args.trace, rate, duration_s, args.seed)
-    try:
-        results = compare_policies(
-            session,
-            trace,
-            policies,
-            progress=lambda name: print(
-                f"autoscale {args.model}/{session.backend}/{name} ...",
-                file=sys.stderr,
-            ),
-            slo_ms=args.slo_ms,
-            slo_percentile=args.percentile,
-            windows=args.windows,
-            provision_delay_s=args.provision_delay_s,
-            cooldown_s=args.cooldown_s,
-            min_nodes=args.min_nodes,
-            max_nodes=args.max_nodes,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    rate = _offered_rate(args.rate, args.nodes_mean, per_node)
+    # Shape construction (and the horizon check) lives in trace_for; only
+    # the seeding of the bursty shape's modulation path is decided here.
+    rng = np.random.default_rng(lab_seed(args.seed, "autoscale-trace"))
+    trace = trace_for(args.trace, rng, rate, args.windows * args.interval_s)
+    results = compare_policies(
+        session,
+        trace,
+        policies,
+        progress=lambda name: print(
+            f"autoscale {args.model}/{session.backend}/{name} ...",
+            file=sys.stderr,
+        ),
+        slo_ms=args.slo_ms,
+        slo_percentile=args.percentile,
+        windows=args.windows,
+        provision_delay_s=args.provision_delay_s,
+        cooldown_s=args.cooldown_s,
+        min_nodes=args.min_nodes,
+        max_nodes=args.max_nodes,
+        seed=args.seed,
+    )
     report = {name: result.as_dict() for name, result in results.items()}
     payload = {
         "model": args.model,
@@ -737,50 +657,41 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
 
 
 def _cmd_tiers(args: argparse.Namespace) -> int:
-    from repro.memory import UnknownCachePolicyError, scaled_tier_hierarchy
-    from repro.serving.arrivals import ARRIVAL_PROCESSES
+    from repro.memory import scaled_tier_hierarchy
     from repro.serving.lab import DEFAULT_UTILISATIONS, tiering_lab
-    from repro.serving.popularity import DEFAULT_ALPHA, PopularityModel
+    from repro.serving.popularity import PopularityModel
 
-    if (rc := _check_model(args.model)) is not None:
-        return rc
-    if args.process not in ARRIVAL_PROCESSES:
-        return _fail(
-            f"unknown arrival process {args.process!r}; "
-            f"available: {list(ARRIVAL_PROCESSES)}"
-        )
-    session = _build_session(args, seed=args.seed)
-    if session is None:
-        return 2
+    _check_model(args.model)
+    _check_process(args.process)
+    session = _build_session(
+        args.model, args.backend, args.max_rows, seed=args.seed
+    )
     rows = sum(t.rows for t in session.model.tables)
-    try:
-        hierarchy = scaled_tier_hierarchy(
-            rows,
-            policy=args.policy,
-            hot_fraction=args.hot_fraction,
-            warm_accesses=args.warm_accesses,
-            sim_queries=args.sim_queries,
-        )
-        session.attach_tiers(
-            hierarchy,
-            popularity=PopularityModel(
-                rows=rows,
-                alpha=args.alpha,
-                drift_rows_per_s=args.drift,
-            ),
-            seed=args.seed,
-        )
-        block = tiering_lab(
-            session,
-            process=args.process,
-            utilisations=tuple(args.utilisation or DEFAULT_UTILISATIONS),
-            duration_s=args.duration_s,
-            slo_ms=args.slo_ms,
-            slo_percentile=args.percentile,
-            seed=args.seed,
-        )
-    except (UnknownCachePolicyError, ValueError) as exc:
-        return _fail(str(exc))
+    hierarchy = scaled_tier_hierarchy(
+        rows,
+        policy=args.policy,
+        hot_fraction=args.hot_fraction,
+        warm_accesses=args.warm_accesses,
+        sim_queries=args.sim_queries,
+    )
+    session.attach_tiers(
+        hierarchy,
+        popularity=PopularityModel(
+            rows=rows,
+            alpha=args.alpha,
+            drift_rows_per_s=args.drift,
+        ),
+        seed=args.seed,
+    )
+    block = tiering_lab(
+        session,
+        process=args.process,
+        utilisations=tuple(args.utilisation or DEFAULT_UTILISATIONS),
+        duration_s=args.duration_s,
+        slo_ms=args.slo_ms,
+        slo_percentile=args.percentile,
+        seed=args.seed,
+    )
     payload = {"model": args.model, "seed": args.seed, **block}
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -818,67 +729,23 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import numpy as np
+    from repro.telemetry import SpanRecorder, get_exporter
 
-    from repro.serving.arrivals import ARRIVAL_PROCESSES, arrivals_for
-    from repro.serving.lab import lab_seed
-    from repro.telemetry import SpanRecorder, UnknownExporterError, get_exporter
-
-    if (rc := _check_model(args.model)) is not None:
-        return rc
-    if args.process not in ARRIVAL_PROCESSES:
-        return _fail(
-            f"unknown arrival process {args.process!r}; "
-            f"available: {list(ARRIVAL_PROCESSES)}"
-        )
-    try:
-        get_exporter(args.exporter)
-    except UnknownExporterError as exc:
-        return _fail(str(exc))
+    _check_model(args.model)
+    _check_process(args.process)
+    get_exporter(args.exporter)
     if args.tier:
-        from repro.cluster import UnknownRoutingPolicyError, deploy_cluster
-        from repro.runtime import UnknownBackendError
-
-        try:
-            specs = [_parse_tier(text, args.model) for text in args.tier]
-        except ValueError as exc:
-            return _fail(str(exc))
-        for spec in specs:
-            if (rc := _check_model(spec.model)) is not None:
-                return rc
-        try:
-            surface = deploy_cluster(
-                specs,
-                router=args.router,
-                slo_ms=args.slo_ms,
-                max_rows=args.max_rows,
-                seed=args.seed,
-            )
-        except (
-            UnknownRoutingPolicyError,
-            UnknownBackendError,
-            ValueError,
-        ) as exc:
-            return _fail(str(exc))
+        _, surface = _deploy_tiers(args, [])
     else:
-        surface = _build_session(args, seed=args.seed)
-        if surface is None:
-            return 2
+        surface = _build_session(
+            args.model, args.backend, args.max_rows, seed=args.seed
+        )
     hub = surface.telemetry
     if args.spans:
         hub.spans = SpanRecorder(sample_rate=args.span_rate, seed=args.seed)
     capacity = surface.perf().throughput_items_per_s
-    rate = args.rate if args.rate is not None else args.utilisation * capacity
-    if rate <= 0:
-        return _fail(f"offered rate must be positive, got {rate}")
-    rng = np.random.default_rng(
-        lab_seed(args.seed, surface.backend, args.process, "stats")
-    )
-    try:
-        arrivals = arrivals_for(args.process, rng, rate, args.duration_s)
-        surface.serve(arrivals)
-    except ValueError as exc:
-        return _fail(str(exc))
+    rate = _offered_rate(args.rate, args.utilisation, capacity)
+    _serve_seeded(surface, args, args.process, rate, args.process, "stats")
     if args.json:
         payload = {
             "model": args.model,
@@ -919,11 +786,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         overrides["models"] = tuple(args.model)
     if args.backend:
         overrides["backends"] = tuple(args.backend)
-    try:
-        for block in BLOCKS:
-            overrides.update(block.overrides(args))
-    except ValueError as exc:
-        return _fail(str(exc))
+    for block in BLOCKS:
+        overrides.update(block.overrides(args))
     if args.batch:
         overrides["batches"] = tuple(args.batch)
     if args.max_rows is not None:
@@ -936,13 +800,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         overrides["wall_clock_budget_multiplier"] = (
             args.stamp_wall_clock_budgets
         )
-    try:
-        if args.quick:
-            config = BenchConfig.quick_config(**overrides)
-        else:
-            config = BenchConfig(**overrides)
-    except ValueError as exc:
-        return _fail(str(exc))
+    make = BenchConfig.quick_config if args.quick else BenchConfig
+    config = make(**overrides)
     if args.wall_clock_budget_scale <= 0:
         return _fail(
             f"--wall-clock-budget-scale must be positive, got "
@@ -955,10 +814,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(message, file=sys.stderr)
 
     log(config_summary(config))
-    try:
-        payload = run_bench(config, log=log)
-    except ValueError as exc:
-        return _fail(str(exc))
+    payload = run_bench(config, log=log)
     if args.fail_on_regression is not None and not args.compare:
         return _fail(
             "--fail-on-regression needs --compare OLD.json to diff against"
@@ -1028,30 +884,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.cli import run_and_report
 
-    return run_and_report(
-        args.paths, select=args.select, as_json=args.json
-    )
+    return run_and_report(args.paths, select=args.select, as_json=args.json)
 
 
-def _registries() -> tuple[tuple[str, Callable[[], tuple[str, ...]]], ...]:
-    """Every name-keyed registry as ``(label, available_fn)``, in the
-    order ``repro info`` and the ``--help`` epilogs list them."""
-    from repro.analysis import available_rules
-    from repro.autoscale import available_scalers
-    from repro.cluster import available_policies
-    from repro.distplan import available_strategies
-    from repro.memory import available_cache_policies
-    from repro.runtime import available_backends
-    from repro.telemetry import available_exporters
+def _registries() -> tuple[
+    tuple[str, Callable[[], tuple[str, ...]], type[LookupError]], ...
+]:
+    """Every name-keyed registry as ``(label, available_fn, error)``, in
+    the order ``repro info`` and the ``--help`` epilogs list them;
+    ``error`` is the registry's unknown-name error."""
+    from repro.analysis import UnknownRuleError, available_rules
+    from repro.autoscale import UnknownScalerError, available_scalers
+    from repro.cluster import UnknownRoutingPolicyError, available_policies
+    from repro.distplan import UnknownShardingStrategyError, available_strategies
+    from repro.memory import UnknownCachePolicyError, available_cache_policies
+    from repro.runtime import UnknownBackendError, available_backends
+    from repro.telemetry import UnknownExporterError, available_exporters
 
     return (
-        ("backends", available_backends),
-        ("routing policies", available_policies),
-        ("scaler policies", available_scalers),
-        ("sharding strategies", available_strategies),
-        ("cache policies", available_cache_policies),
-        ("telemetry exporters", available_exporters),
-        ("lint rules", available_rules),
+        ("backends", available_backends, UnknownBackendError),
+        ("routing policies", available_policies, UnknownRoutingPolicyError),
+        ("scaler policies", available_scalers, UnknownScalerError),
+        ("sharding strategies", available_strategies,
+         UnknownShardingStrategyError),
+        ("cache policies", available_cache_policies, UnknownCachePolicyError),
+        ("telemetry exporters", available_exporters, UnknownExporterError),
+        ("lint rules", available_rules, UnknownRuleError),
     )
 
 
@@ -1075,7 +933,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
                     "version": repro.__version__,
                     **{
                         label.replace(" ", "_"): list(available())
-                        for label, available in _registries()
+                        for label, available, _ in _registries()
                     },
                     "models": models,
                     "experiments": list(EXPERIMENTS),
@@ -1086,7 +944,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         return 0
     print(f"repro {repro.__version__} — MicroRec (MLSys'21) reproduction")
     print()
-    for label, available in _registries():
+    for label, available, _ in _registries():
         print(f"{label}: {', '.join(available())}")
     print("\nproduction models (+ benchmark family):")
     for name, factory in MODEL_FACTORIES.items():
@@ -1112,59 +970,128 @@ def _registry_epilog() -> str:
         [f"registered models: {' | '.join(MODEL_FACTORIES)}"]
         + [
             f"registered {label}: {' | '.join(available())}"
-            for label, available in _registries()
+            for label, available, _ in _registries()
         ]
     )
 
 
-def _model_help() -> str:
+def _finite_float(text: str) -> float:
+    """argparse ``type`` of every float flag: ``nan``/``inf`` exit 2
+    with a message naming the flag, like any other malformed number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+#: Per-verb override turning a shared flag into a repeatable list.
+_REPEATABLE = {"action": "append", "default": None}
+
+
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    """One verb-local flag, spelled like ``add_argument``."""
+    return flag, kwargs
+
+
+def _shared_flags() -> dict[str, tuple[str, dict]]:
+    """Every flag more than one verb takes, stated once by key.
+
+    A verb names the keys it takes and may pass, per key, its own
+    default or a dict of ``add_argument`` overrides (e.g.
+    ``_REPEATABLE``); the help then states that default, or that the
+    flag repeats.
+    """
+    from repro.cluster import available_policies
     from repro.models.spec import MODEL_FACTORIES
-
-    return " | ".join(MODEL_FACTORIES)
-
-
-def _process_help(prefix: str) -> str:
+    from repro.runtime import available_backends
     from repro.serving.arrivals import ARRIVAL_PROCESSES
 
-    return f"{prefix} ({' | '.join(ARRIVAL_PROCESSES)})"
+    def names(items) -> str:
+        return " | ".join(items)
 
-
-def _add_backend_flag(parser: argparse.ArgumentParser, **kwargs) -> None:
-    from repro.runtime import available_backends
-
-    parser.add_argument(
-        "--backend",
-        help=f"inference backend ({' | '.join(available_backends())})",
-        **kwargs,
-    )
-
-
-def _add_planner_flags(parser: argparse.ArgumentParser) -> None:
-    from repro.core.planner import PlannerConfig
-
-    defaults = PlannerConfig()
-    parser.add_argument("--no-cartesian", action="store_true")
-    parser.add_argument(
-        "--max-candidate-rows",
-        type=int,
-        default=defaults.max_candidate_rows,
-        help="rule 1 cutoff: largest table eligible for Cartesian merging",
-    )
-    parser.add_argument(
-        "--max-product-bytes",
-        type=int,
-        default=defaults.max_product_bytes,
-        help="rule 2/3 cutoff: largest allowed merged-product footprint",
-    )
+    return {
+        "model": _arg("model", help=names(MODEL_FACTORIES)),
+        "backend": _arg(
+            "--backend",
+            help=f"inference backend ({names(available_backends())})",
+        ),
+        "tier": _arg(
+            "--tier", action="append", default=None,
+            metavar="BACKEND[:COUNT[:MODEL]]",
+            help="one replica tier of a routed cluster",
+        ),
+        "router": _arg(
+            "--router", default="sla-aware",
+            help=f"routing policy ({names(available_policies())})",
+        ),
+        "precision": _arg(
+            "--precision", default=None,
+            help="fp32 | fixed16 | fixed32 (backend default if omitted: "
+            "fixed16 on fpga, fp32 on cpu)",
+        ),
+        "process": _arg(
+            "--process", default="poisson", metavar="NAME",
+            help=f"arrival process ({names(ARRIVAL_PROCESSES)})",
+        ),
+        "utilisation": _arg(
+            "--utilisation", type=_finite_float, metavar="FRAC",
+            help="offered load as a fraction of capacity",
+        ),
+        "rate": _arg(
+            "--rate", type=_finite_float, default=None, metavar="QPS",
+            help="absolute offered rate in queries/s (overrides "
+            "--utilisation)",
+        ),
+        "slo_ms": _arg(
+            "--slo-ms", type=_finite_float, default=30.0,
+            help="latency SLO in ms",
+        ),
+        "percentile": _arg(
+            "--percentile", type=_finite_float, default=99.0,
+            help="percentile the SLO is judged at",
+        ),
+        "duration_s": _arg(
+            "--duration-s", type=_finite_float, default=0.2,
+            help="simulated serving window in seconds",
+        ),
+        "qps": _arg(
+            "--qps", type=_finite_float, default=1_000_000.0,
+            help="fleet-sizing target load in queries/s",
+        ),
+        "headroom": _arg("--headroom", type=_finite_float, default=0.7),
+        "max_rows": _arg(
+            "--max-rows", type=int, default=None,
+            help="row-cap tables before deployment (required for "
+            "fpga-compressed, whose codes must fit 256 MiB)",
+        ),
+        "seed": _arg("--seed", type=int, default=0),
+        "json": _arg(
+            "--json", action="store_true",
+            help="print one machine-readable JSON document on stdout",
+        ),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
     from repro._version import __version__
+    from repro.analysis import rules_epilog
+    from repro.autoscale import available_scalers
+    from repro.bench import BLOCKS
+    from repro.core.planner import PlannerConfig
+    from repro.distplan import available_strategies
+    from repro.memory import available_cache_policies
+    from repro.serving.arrivals import TRACE_SHAPES
+    from repro.serving.popularity import DEFAULT_ALPHA
+    from repro.telemetry import available_exporters
 
+    registry_epilog = _registry_epilog()
     parser = argparse.ArgumentParser(
         prog="repro",
         description=__doc__,
-        epilog=_registry_epilog(),
+        epilog=registry_epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
@@ -1174,490 +1101,299 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the package version and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = _shared_flags()
 
-    p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
-    p_exp.add_argument("names", nargs="*", help="experiment names (default: all)")
-    p_exp.set_defaults(func=_cmd_experiments)
+    def verb(name, func, summary, *flags, epilog=None, description=None,
+             **per_verb):
+        """Add one verb taking ``flags`` in order: shared keys or
+        ``_arg(...)`` locals; ``per_verb`` sets a shared key's default
+        (or overrides its kwargs)."""
+        p = sub.add_parser(
+            name, help=summary, description=description, epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        for flag in flags:
+            if isinstance(flag, str):
+                override = per_verb.get(flag, {})
+                flag, kwargs = shared[flag]
+                kwargs = {**kwargs, **(
+                    override if isinstance(override, dict)
+                    else {"default": override}
+                )}
+                repeat = kwargs.get("action") == "append"
+                if "help" in kwargs and (repeat or kwargs.get("default") is not None):
+                    kwargs["help"] += (" (repeatable)" if repeat
+                                       else " (default %(default)s)")
+            else:
+                flag, kwargs = flag
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
-    p_plan = sub.add_parser("plan", help="run Algorithm 1 on a model")
-    p_plan.add_argument("model", help=_model_help())
-    _add_backend_flag(p_plan, default="fpga")
-    _add_planner_flags(p_plan)
-    p_plan.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before planning (required for "
-        "fpga-compressed, whose codes must fit 256 MiB)",
+    planner = PlannerConfig()
+    verb(
+        "experiments", _cmd_experiments, "regenerate paper tables/figures",
+        _arg("names", nargs="*", help="experiment names (default: all)"),
     )
-    p_plan.add_argument("--hbm-channels", type=int, default=32)
-    p_plan.add_argument("--onchip-banks", type=int, default=8)
-    p_plan.add_argument("--show-merges", action="store_true")
-    p_plan.add_argument("--json", action="store_true")
-    p_plan.set_defaults(func=_cmd_plan)
-
-    p_infer = sub.add_parser(
-        "infer", help="deploy a backend and run real inference"
+    verb(
+        "plan", _cmd_plan, "run Algorithm 1 on a model",
+        "model", "backend",
+        _arg("--no-cartesian", action="store_true"),
+        _arg(
+            "--max-candidate-rows", type=int,
+            default=planner.max_candidate_rows,
+            help="rule 1 cutoff: largest table eligible for Cartesian "
+            "merging",
+        ),
+        _arg(
+            "--max-product-bytes", type=int,
+            default=planner.max_product_bytes,
+            help="rule 2/3 cutoff: largest allowed merged-product footprint",
+        ),
+        "max_rows",
+        _arg("--hbm-channels", type=int, default=32),
+        _arg("--onchip-banks", type=int, default=8),
+        _arg("--show-merges", action="store_true"),
+        "json",
+        backend="fpga",
     )
-    p_infer.add_argument("model", help=_model_help())
-    _add_backend_flag(p_infer, default="fpga")
-    p_infer.add_argument(
-        "--precision", default=None,
-        help="fp32 | fixed16 | fixed32 (backend default if omitted)",
+    verb(
+        "infer", _cmd_infer, "deploy a backend and run real inference",
+        "model", "backend", "precision",
+        _arg("--batch", type=int, default=128),
+        "max_rows", "seed",
+        _arg("--show", type=int, default=5, help="predictions to print"),
+        "json",
+        backend="fpga",
     )
-    p_infer.add_argument("--batch", type=int, default=128)
-    p_infer.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment (laptop-friendly)",
+    verb(
+        "fleet", _cmd_fleet, "size engine fleets for a load",
+        "model",
+        _arg("qps", type=_finite_float, help="target queries per second"),
+        "backend", "max_rows", "precision", "headroom", "json",
+        backend=_REPEATABLE,
     )
-    p_infer.add_argument("--seed", type=int, default=0)
-    p_infer.add_argument("--show", type=int, default=5,
-                         help="predictions to print")
-    p_infer.add_argument("--json", action="store_true")
-    p_infer.set_defaults(func=_cmd_infer)
-
-    p_fleet = sub.add_parser("fleet", help="size engine fleets for a load")
-    p_fleet.add_argument("model", help=_model_help())
-    p_fleet.add_argument("qps", type=float, help="target queries per second")
-    _add_backend_flag(p_fleet, action="append", default=None)
-    p_fleet.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment (required for "
-        "fpga-compressed, whose codes must fit 256 MiB)",
-    )
-    p_fleet.add_argument(
-        "--precision", default=None,
-        help="number format for every sized backend (backend defaults if "
-        "omitted: fixed16 on fpga, fp32 on cpu)",
-    )
-    p_fleet.add_argument("--headroom", type=float, default=0.7)
-    p_fleet.add_argument("--json", action="store_true")
-    p_fleet.set_defaults(func=_cmd_fleet)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="trace-driven serving lab: latency-under-load curves + "
+    verb(
+        "serve", _cmd_serve,
+        "trace-driven serving lab: latency-under-load curves + "
         "SLA-aware fleet sizing",
+        "model", "backend", "process", "utilisation", "rate", "slo_ms",
+        "percentile", "duration_s", "qps", "headroom", "max_rows", "seed",
+        "json",
+        backend=_REPEATABLE, process=_REPEATABLE, utilisation=_REPEATABLE,
+        rate=_REPEATABLE,
     )
-    p_serve.add_argument("model", help=_model_help())
-    _add_backend_flag(p_serve, action="append", default=None)
-    p_serve.add_argument(
-        "--process", action="append", default=None, metavar="NAME",
-        help=_process_help("arrival process to sweep")
-        + "; repeatable; default: poisson diurnal bursty",
-    )
-    p_serve.add_argument(
-        "--utilisation", action="append", type=float, default=None,
-        metavar="FRAC",
-        help="offered load as a fraction of per-node throughput "
-        "(repeatable; default: 0.2 0.4 0.6 0.8 0.95 1.1)",
-    )
-    p_serve.add_argument(
-        "--rate", action="append", type=float, default=None, metavar="QPS",
-        help="absolute offered rate in queries/s (repeatable; overrides "
-        "--utilisation)",
-    )
-    p_serve.add_argument(
-        "--slo-ms", type=float, default=30.0,
-        help="latency SLO (default 30 ms — 'tens of milliseconds', sec. 1)",
-    )
-    p_serve.add_argument(
-        "--percentile", type=float, default=99.0,
-        help="percentile the SLO is judged at (default p99)",
-    )
-    p_serve.add_argument(
-        "--duration-s", type=float, default=0.2,
-        help="simulated window per measurement (default 0.2 s)",
-    )
-    p_serve.add_argument(
-        "--qps", type=float, default=1_000_000.0,
-        help="fleet-sizing target load (queries per second)",
-    )
-    p_serve.add_argument("--headroom", type=float, default=0.7)
-    p_serve.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment (required for "
-        "fpga-compressed, whose codes must fit 256 MiB)",
-    )
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--json", action="store_true")
-    p_serve.set_defaults(func=_cmd_serve)
-
-    from repro.cluster import available_policies
-
-    p_cluster = sub.add_parser(
-        "cluster",
-        help="deploy a routed heterogeneous cluster and serve traffic "
+    verb(
+        "cluster", _cmd_cluster,
+        "deploy a routed heterogeneous cluster and serve traffic "
         "through it",
-        epilog=_registry_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "model", "tier", "router", "process", "utilisation", "rate",
+        "slo_ms", "duration_s", "qps", "headroom", "max_rows", "seed",
+        "json",
+        epilog=registry_epilog,
+        tier={"help": "one replica tier; default: fpga gpu cpu, one "
+              "replica each"},
+        utilisation=0.8,
     )
-    p_cluster.add_argument("model", help="default model for every tier")
-    p_cluster.add_argument(
-        "--tier", action="append", default=None, metavar="BACKEND[:COUNT[:MODEL]]",
-        help="one replica tier (repeatable; default: fpga gpu cpu, one "
-        "replica each)",
+    verb(
+        "plan-shards", _cmd_plan_shards,
+        "shard one model across a cluster and serve it fan-out/gather",
+        "model", "tier",
+        _arg(
+            "--strategy", default="auto",
+            help=f"sharding strategy ({' | '.join(available_strategies())})"
+            "; default auto: enumerate all and keep the best-scoring plan",
+        ),
+        _arg(
+            "--node-gb", type=_finite_float, default=None, metavar="GB",
+            help="override every node's DRAM budget (default: the backend "
+            "family's real capacity, e.g. ~40 GB per fpga board)",
+        ),
+        "utilisation", "rate", "slo_ms", "duration_s", "max_rows", "seed",
+        "json",
+        epilog=registry_epilog,
+        tier={"metavar": "BACKEND[:COUNT]", "help": "one node tier "
+              "hosting shards of MODEL; default: fpga:4"},
+        utilisation=0.6,
     )
-    p_cluster.add_argument(
-        "--router", default="sla-aware",
-        help=f"routing policy ({' | '.join(available_policies())})",
-    )
-    p_cluster.add_argument(
-        "--process", default="poisson", metavar="NAME",
-        help=_process_help("arrival process of the served traffic")
-        + "; default poisson",
-    )
-    p_cluster.add_argument(
-        "--utilisation", type=float, default=0.8, metavar="FRAC",
-        help="offered load as a fraction of total cluster capacity "
-        "(default 0.8)",
-    )
-    p_cluster.add_argument(
-        "--rate", type=float, default=None, metavar="QPS",
-        help="absolute offered rate in queries/s (overrides --utilisation)",
-    )
-    p_cluster.add_argument(
-        "--slo-ms", type=float, default=30.0,
-        help="latency SLO the sla-aware router (and reporting) uses",
-    )
-    p_cluster.add_argument(
-        "--duration-s", type=float, default=0.2,
-        help="simulated serving window (default 0.2 s)",
-    )
-    p_cluster.add_argument(
-        "--qps", type=float, default=1_000_000.0,
-        help="fleet-sizing target load (whole clusters as the unit)",
-    )
-    p_cluster.add_argument("--headroom", type=float, default=0.7)
-    p_cluster.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment (applies to every tier)",
-    )
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument("--json", action="store_true")
-    p_cluster.set_defaults(func=_cmd_cluster)
-
-    from repro.distplan import available_strategies
-
-    p_shards = sub.add_parser(
-        "plan-shards",
-        help="shard one model across a cluster and serve it fan-out/gather",
-        epilog=_registry_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p_shards.add_argument("model", help=_model_help())
-    p_shards.add_argument(
-        "--tier", action="append", default=None, metavar="BACKEND[:COUNT]",
-        help="one node tier (repeatable; default: fpga:4); every node "
-        "hosts shards of MODEL",
-    )
-    p_shards.add_argument(
-        "--strategy", default="auto",
-        help=f"sharding strategy ({' | '.join(available_strategies())}); "
-        "default auto: enumerate all and keep the best-scoring plan",
-    )
-    p_shards.add_argument(
-        "--node-gb", type=float, default=None, metavar="GB",
-        help="override every node's DRAM budget (default: the backend "
-        "family's real capacity, e.g. ~40 GB per fpga board)",
-    )
-    p_shards.add_argument(
-        "--utilisation", type=float, default=0.6, metavar="FRAC",
-        help="offered load as a fraction of fan-out capacity (default 0.6)",
-    )
-    p_shards.add_argument(
-        "--rate", type=float, default=None, metavar="QPS",
-        help="absolute offered rate in queries/s (overrides --utilisation)",
-    )
-    p_shards.add_argument(
-        "--slo-ms", type=float, default=30.0,
-        help="latency SLO (default 30 ms — 'tens of milliseconds', sec. 1)",
-    )
-    p_shards.add_argument(
-        "--duration-s", type=float, default=0.2,
-        help="simulated serving window (default 0.2 s)",
-    )
-    p_shards.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment (planning still uses the "
-        "full model spec)",
-    )
-    p_shards.add_argument("--seed", type=int, default=0)
-    p_shards.add_argument("--json", action="store_true")
-    p_shards.set_defaults(func=_cmd_plan_shards)
-
-    from repro.autoscale import available_scalers
-    from repro.serving.arrivals import TRACE_SHAPES
-
-    p_auto = sub.add_parser(
-        "autoscale",
-        help="drive an elastic fleet through a rate trace under every "
+    verb(
+        "autoscale", _cmd_autoscale,
+        "drive an elastic fleet through a rate trace under every "
         "scaler policy",
-        epilog=_registry_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "model", "backend",
+        _arg(
+            "--policy", action="append", default=None, metavar="NAME",
+            help=f"scaler policy ({' | '.join(available_scalers())}); "
+            "repeatable; default: every registered policy",
+        ),
+        _arg(
+            "--trace", default="diurnal", metavar="NAME",
+            help=f"offered-load shape ({' | '.join(TRACE_SHAPES)}); "
+            "default diurnal",
+        ),
+        "rate",
+        _arg(
+            "--nodes-mean", type=_finite_float, default=8.0, metavar="N",
+            help="base rate expressed in nodes' worth of capacity when "
+            "--rate is omitted (default 8)",
+        ),
+        _arg(
+            "--windows", type=int, default=24,
+            help="number of control windows over the horizon (default 24)",
+        ),
+        _arg(
+            "--interval-s", type=_finite_float, default=0.05,
+            help="control interval / simulated window length "
+            "(default 0.05 s)",
+        ),
+        _arg(
+            "--provision-delay-s", type=_finite_float, default=None,
+            help="lag before a scale-up serves traffic (default: one "
+            "control interval)",
+        ),
+        _arg(
+            "--cooldown-s", type=_finite_float, default=0.0,
+            help="minimum time between scaling actions (default 0)",
+        ),
+        _arg("--min-nodes", type=int, default=1),
+        _arg("--max-nodes", type=int, default=1_000_000),
+        "slo_ms", "percentile", "max_rows", "seed", "json",
+        epilog=registry_epilog,
+        backend="gpu",
+        rate={"help": "base aggregate rate of the trace in queries/s "
+              "(default: --nodes-mean x one node's sustained throughput)"},
     )
-    p_auto.add_argument("model", help=_model_help())
-    _add_backend_flag(p_auto, default="gpu")
-    p_auto.add_argument(
-        "--policy", action="append", default=None, metavar="NAME",
-        help=f"scaler policy ({' | '.join(available_scalers())}); "
-        "repeatable; default: every registered policy",
+    verb(
+        "tiers", _cmd_tiers,
+        "tiered embedding storage: warm-vs-cold serving curves",
+        "model", "backend",
+        _arg(
+            "--policy", default="lru",
+            help="cache policy of the caching tiers "
+            f"({' | '.join(available_cache_policies())})",
+        ),
+        _arg(
+            "--alpha", type=_finite_float, default=DEFAULT_ALPHA,
+            help="Zipf skew of per-query row popularity "
+            f"(default {DEFAULT_ALPHA}; <= 0 means uniform)",
+        ),
+        _arg(
+            "--drift", type=_finite_float, default=0.0, metavar="ROWS_PER_S",
+            help="popularity drift: hot-set rotation speed (default 0)",
+        ),
+        _arg(
+            "--hot-fraction", type=_finite_float, default=0.125,
+            metavar="FRAC",
+            help="fraction of the working set the hot tier holds "
+            "(default 0.125)",
+        ),
+        "process", "utilisation", "slo_ms", "percentile", "duration_s",
+        _arg(
+            "--warm-accesses", type=int, default=8192,
+            help="warm-up lookups defining steady state (default 8192)",
+        ),
+        _arg(
+            "--sim-queries", type=int, default=2048,
+            help="queries simulated per cache evaluation (default 2048)",
+        ),
+        "max_rows", "seed", "json",
+        epilog=registry_epilog,
+        backend="fpga", process={"metavar": None}, utilisation=_REPEATABLE,
     )
-    p_auto.add_argument(
-        "--trace", default="diurnal", metavar="NAME",
-        help=f"offered-load shape ({' | '.join(TRACE_SHAPES)}); "
-        "default diurnal",
-    )
-    p_auto.add_argument(
-        "--rate", type=float, default=None, metavar="QPS",
-        help="base aggregate rate of the trace in queries/s (default: "
-        "--nodes-mean x one node's sustained throughput)",
-    )
-    p_auto.add_argument(
-        "--nodes-mean", type=float, default=8.0, metavar="N",
-        help="base rate expressed in nodes' worth of capacity when "
-        "--rate is omitted (default 8)",
-    )
-    p_auto.add_argument(
-        "--windows", type=int, default=24,
-        help="number of control windows over the horizon (default 24)",
-    )
-    p_auto.add_argument(
-        "--interval-s", type=float, default=0.05,
-        help="control interval / simulated window length (default 0.05 s)",
-    )
-    p_auto.add_argument(
-        "--provision-delay-s", type=float, default=None,
-        help="lag before a scale-up serves traffic (default: one "
-        "control interval)",
-    )
-    p_auto.add_argument(
-        "--cooldown-s", type=float, default=0.0,
-        help="minimum time between scaling actions (default 0)",
-    )
-    p_auto.add_argument("--min-nodes", type=int, default=1)
-    p_auto.add_argument("--max-nodes", type=int, default=1_000_000)
-    p_auto.add_argument(
-        "--slo-ms", type=float, default=30.0,
-        help="latency SLO (default 30 ms — 'tens of milliseconds', sec. 1)",
-    )
-    p_auto.add_argument(
-        "--percentile", type=float, default=99.0,
-        help="percentile the SLO is judged at (default p99)",
-    )
-    p_auto.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment (laptop-friendly)",
-    )
-    p_auto.add_argument("--seed", type=int, default=0)
-    p_auto.add_argument("--json", action="store_true")
-    p_auto.set_defaults(func=_cmd_autoscale)
-
-    from repro.memory import available_cache_policies
-    from repro.serving.popularity import DEFAULT_ALPHA
-
-    p_tiers = sub.add_parser(
-        "tiers",
-        help="tiered embedding storage: warm-vs-cold serving curves",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_registry_epilog(),
-    )
-    p_tiers.add_argument("model", help=_model_help())
-    _add_backend_flag(p_tiers, default="fpga")
-    p_tiers.add_argument(
-        "--policy", default="lru",
-        help="cache policy of the caching tiers "
-        f"({' | '.join(available_cache_policies())})",
-    )
-    p_tiers.add_argument(
-        "--alpha", type=float, default=DEFAULT_ALPHA,
-        help="Zipf skew of per-query row popularity "
-        f"(default {DEFAULT_ALPHA}; <= 0 means uniform)",
-    )
-    p_tiers.add_argument(
-        "--drift", type=float, default=0.0, metavar="ROWS_PER_S",
-        help="popularity drift: hot-set rotation speed (default 0)",
-    )
-    p_tiers.add_argument(
-        "--hot-fraction", type=float, default=0.125, metavar="FRAC",
-        help="fraction of the working set the hot tier holds "
-        "(default 0.125)",
-    )
-    p_tiers.add_argument(
-        "--process", default="poisson",
-        help=_process_help("arrival process (default poisson)"),
-    )
-    p_tiers.add_argument(
-        "--utilisation", action="append", type=float, default=None,
-        metavar="FRAC",
-        help="offered load as a fraction of per-node throughput "
-        "(repeatable; default: 0.2 0.4 0.6 0.8 0.95 1.1)",
-    )
-    p_tiers.add_argument(
-        "--slo-ms", type=float, default=30.0,
-        help="latency SLO (default 30 ms)",
-    )
-    p_tiers.add_argument(
-        "--percentile", type=float, default=99.0,
-        help="percentile the SLO is judged at (default p99)",
-    )
-    p_tiers.add_argument(
-        "--duration-s", type=float, default=0.2,
-        help="simulated window per measurement (default 0.2 s)",
-    )
-    p_tiers.add_argument(
-        "--warm-accesses", type=int, default=8192,
-        help="warm-up lookups defining steady state (default 8192)",
-    )
-    p_tiers.add_argument(
-        "--sim-queries", type=int, default=2048,
-        help="queries simulated per cache evaluation (default 2048)",
-    )
-    p_tiers.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment",
-    )
-    p_tiers.add_argument("--seed", type=int, default=0)
-    p_tiers.add_argument("--json", action="store_true")
-    p_tiers.set_defaults(func=_cmd_tiers)
-
-    from repro.telemetry import available_exporters
-
-    p_stats = sub.add_parser(
-        "stats",
-        help="serve one seeded window and dump the telemetry plane "
+    verb(
+        "stats", _cmd_stats,
+        "serve one seeded window and dump the telemetry plane "
         "(counters, digest tails, optional trace spans)",
-        epilog=_registry_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "model", "backend", "tier", "router",
+        _arg(
+            "--exporter", default="table",
+            help=f"output format ({' | '.join(available_exporters())})",
+        ),
+        _arg(
+            "--spans", action="store_true",
+            help="record sampled per-request trace spans",
+        ),
+        _arg(
+            "--span-rate", type=_finite_float, default=0.001, metavar="FRAC",
+            help="span sampling rate when --spans is on (default 0.001)",
+        ),
+        "process", "utilisation", "rate", "slo_ms", "duration_s",
+        "max_rows", "seed", "json",
+        epilog=registry_epilog,
+        backend="fpga", utilisation=0.8,
     )
-    p_stats.add_argument("model", help=_model_help())
-    _add_backend_flag(p_stats, default="fpga")
-    p_stats.add_argument(
-        "--tier", action="append", default=None,
-        metavar="BACKEND[:COUNT[:MODEL]]",
-        help="serve through a routed cluster instead of a single session "
-        "(repeatable, as in `repro cluster`)",
+    verb(
+        "bench", _cmd_bench,
+        "sweep backends x models x batches into BENCH_<name>.json",
+        _arg(
+            "--model", action="append", default=None, metavar="NAME",
+            help="model to sweep (repeatable; default: small)",
+        ),
+        "backend",
+        _arg(
+            "--batch", action="append", type=int, default=None, metavar="N",
+            help="batch size for the latency curve (repeatable)",
+        ),
+        _arg(
+            "--quick", action="store_true",
+            help="CI-sized sweep: small batches, 256-row tables",
+        ),
+        *(
+            _arg(flag, dest=dest, **kwargs)
+            for block in BLOCKS
+            for flag, dest, kwargs in block.flags()
+        ),
+        "max_rows", "seed", "qps",
+        _arg(
+            "--name", default=None,
+            help="artifact name: writes BENCH_<name>.json "
+            "(default: quick | full)",
+        ),
+        _arg(
+            "--output", default=None, metavar="PATH",
+            help="artifact path (overrides the BENCH_<name>.json "
+            "convention)",
+        ),
+        _arg(
+            "--compare", default=None, metavar="OLD.json",
+            help="attach regression deltas against a previous artifact",
+        ),
+        _arg(
+            "--fail-on-regression", nargs="?", type=_finite_float,
+            const=5.0, default=None, metavar="PCT",
+            help="with --compare: exit 1 if any headline metric regresses "
+            "by more than PCT percent (default 5), or if any result "
+            "exceeds a wall-clock budget stamped into the baseline",
+        ),
+        _arg(
+            "--wall-clock-budget-scale", type=_finite_float, default=1.0,
+            metavar="FACTOR",
+            help="with --compare: multiply every baseline "
+            "wall_clock_budget_s by FACTOR before gating (loosen budgets "
+            "fleet-wide on slow runners without editing the baseline; "
+            "default 1.0)",
+        ),
+        _arg(
+            "--stamp-wall-clock-budgets", nargs="?", type=_finite_float,
+            const=3.0, default=None, metavar="MULT",
+            help="stamp each result's wall_clock_budget_s at MULT x its "
+            "measured wall clock (default 3) — regenerates a budgeted "
+            "baseline artifact in one command",
+        ),
+        "json",
+        backend={**_REPEATABLE, "metavar": "NAME"},
     )
-    p_stats.add_argument(
-        "--router", default="sla-aware",
-        help="routing policy when --tier is given",
-    )
-    p_stats.add_argument(
-        "--exporter", default="table",
-        help=f"output format ({' | '.join(available_exporters())})",
-    )
-    p_stats.add_argument(
-        "--spans", action="store_true",
-        help="record sampled per-request trace spans",
-    )
-    p_stats.add_argument(
-        "--span-rate", type=float, default=0.001, metavar="FRAC",
-        help="span sampling rate when --spans is on (default 0.001)",
-    )
-    p_stats.add_argument(
-        "--process", default="poisson", metavar="NAME",
-        help=_process_help("arrival process of the served traffic")
-        + "; default poisson",
-    )
-    p_stats.add_argument(
-        "--utilisation", type=float, default=0.8, metavar="FRAC",
-        help="offered load as a fraction of capacity (default 0.8)",
-    )
-    p_stats.add_argument(
-        "--rate", type=float, default=None, metavar="QPS",
-        help="absolute offered rate in queries/s (overrides --utilisation)",
-    )
-    p_stats.add_argument(
-        "--slo-ms", type=float, default=30.0,
-        help="latency SLO the sla-aware router uses when --tier is given",
-    )
-    p_stats.add_argument(
-        "--duration-s", type=float, default=0.2,
-        help="simulated serving window (default 0.2 s)",
-    )
-    p_stats.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment",
-    )
-    p_stats.add_argument("--seed", type=int, default=0)
-    p_stats.add_argument("--json", action="store_true")
-    p_stats.set_defaults(func=_cmd_stats)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="sweep backends x models x batches into BENCH_<name>.json",
-    )
-    p_bench.add_argument(
-        "--model", action="append", default=None, metavar="NAME",
-        help="model to sweep (repeatable; default: small)",
-    )
-    _add_backend_flag(
-        p_bench, action="append", default=None,
-        metavar="NAME",
-    )
-    p_bench.add_argument(
-        "--batch", action="append", type=int, default=None, metavar="N",
-        help="batch size for the latency curve (repeatable)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized sweep: small batches, 256-row tables",
-    )
-    from repro.bench import BLOCKS
-
-    for block in BLOCKS:
-        for flag, dest, kwargs in block.flags():
-            p_bench.add_argument(flag, dest=dest, **kwargs)
-    p_bench.add_argument(
-        "--max-rows", type=int, default=None,
-        help="row-cap tables before deployment (default: 4096, or 256 "
-        "with --quick)",
-    )
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--qps", type=float, default=1_000_000.0,
-        help="fleet-sizing target load (queries per second)",
-    )
-    p_bench.add_argument(
-        "--name", default=None,
-        help="artifact name: writes BENCH_<name>.json "
-        "(default: quick | full)",
-    )
-    p_bench.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="artifact path (overrides the BENCH_<name>.json convention)",
-    )
-    p_bench.add_argument(
-        "--compare", default=None, metavar="OLD.json",
-        help="attach regression deltas against a previous artifact",
-    )
-    p_bench.add_argument(
-        "--fail-on-regression", nargs="?", type=float, const=5.0,
-        default=None, metavar="PCT",
-        help="with --compare: exit 1 if any headline metric regresses by "
-        "more than PCT percent (default 5), or if any result exceeds a "
-        "wall-clock budget stamped into the baseline",
-    )
-    p_bench.add_argument(
-        "--wall-clock-budget-scale", type=float, default=1.0,
-        metavar="FACTOR",
-        help="with --compare: multiply every baseline wall_clock_budget_s "
-        "by FACTOR before gating (loosen budgets fleet-wide on slow "
-        "runners without editing the baseline; default 1.0)",
-    )
-    p_bench.add_argument(
-        "--stamp-wall-clock-budgets", nargs="?", type=float, const=3.0,
-        default=None, metavar="MULT",
-        help="stamp each result's wall_clock_budget_s at MULT x its "
-        "measured wall clock (default 3) — regenerates a budgeted "
-        "baseline artifact in one command",
-    )
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(func=_cmd_bench)
-
-    from repro.analysis import rules_epilog
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="AST invariant checker over the repo's sources",
+    verb(
+        "lint", _cmd_lint, "AST invariant checker over the repo's sources",
+        _arg(
+            "paths", nargs="+",
+            help="files or directories to lint (e.g. src tests)",
+        ),
+        _arg(
+            "--select", action="append", default=None, metavar="RULES",
+            help="restrict to the given rule code(s); repeatable or "
+            "comma-separated (default: every registered rule)",
+        ),
+        "json",
         description=(
             "Check determinism, registry-hygiene, and parity-pair "
             "invariants (exit 0 clean, 1 findings, 2 usage error)."
@@ -1665,29 +1401,21 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=rules_epilog()
         + "\n\nsuppress per line with: "
         "# repro-lint: noqa[RPR00x] -- justification",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p_lint.add_argument(
-        "paths", nargs="+",
-        help="files or directories to lint (e.g. src tests)",
-    )
-    p_lint.add_argument(
-        "--select", action="append", default=None, metavar="RULES",
-        help="restrict to the given rule code(s); repeatable or "
-        "comma-separated (default: every registered rule)",
-    )
-    p_lint.add_argument("--json", action="store_true")
-    p_lint.set_defaults(func=_cmd_lint)
-
-    p_info = sub.add_parser("info", help="library overview")
-    p_info.add_argument("--json", action="store_true")
-    p_info.set_defaults(func=_cmd_info)
+    verb("info", _cmd_info, "library overview", "json")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one verb.  The single error boundary: bad input — a
+    ``ValueError`` or a registry's unknown-name error — exits 2 with its
+    one-line message; any other exception (a bare ``KeyError`` too) is
+    a bug and tracebacks."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, *(error for *_, error in _registries())) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -127,8 +127,14 @@ def u280_memory_system(
     only a handful of tiny tables on chip.
 
     Pass ``hbm_channels=0`` to model an HBM-less FPGA — the planner
-    generalises unchanged, per section 3.4.2.
+    generalises unchanged, per section 3.4.2.  A negative count raises
+    ``ValueError`` naming the argument.
     """
+    for arg, count in (("hbm_channels", hbm_channels),
+                       ("ddr_channels", ddr_channels),
+                       ("onchip_banks", onchip_banks)):
+        if count < 0:
+            raise ValueError(f"{arg} must be >= 0, got {count}")
     banks: list[BankSpec] = []
     next_id = 0
     for _ in range(hbm_channels):

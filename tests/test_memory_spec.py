@@ -70,6 +70,16 @@ class TestU280:
         assert mem.num_dram_channels == 2
         assert all(b.kind is not BankKind.HBM for b in mem.banks)
 
+    @pytest.mark.parametrize(
+        "arg", ["hbm_channels", "ddr_channels", "onchip_banks"]
+    )
+    def test_negative_bank_count_rejected(self, arg):
+        # A negative count used to build zero banks silently; zero stays
+        # valid (the HBM-less FPGA above).
+        with pytest.raises(ValueError, match=f"{arg} must be >= 0, got -1"):
+            u280_memory_system(**{arg: -1})
+        assert u280_memory_system(**{arg: 0}).banks
+
     def test_custom_axi_propagates(self):
         axi = AxiConfig(data_width_bits=512)
         assert u280_memory_system(axi=axi).axi.data_width_bits == 512
