@@ -5,6 +5,7 @@ decision (AXI width, on-chip caching, the rule-3 pairing order, heuristic
 vs exhaustive search) and measures its effect with everything else fixed.
 """
 
+from repro.core import planner
 from repro.core.allocation import allocate_to_banks
 from repro.core.bruteforce import brute_force_plan
 from repro.core.cartesian import MergeGroup
@@ -95,8 +96,14 @@ def test_pairing_order_ablation(benchmark):
     )
 
 
+def _plan_uncached(*args):
+    """``plan_tables`` with its memo emptied first, so every round searches."""
+    planner._plan_memo.clear()
+    return plan_tables(*args)
+
+
 def test_heuristic_vs_bruteforce_runtime(benchmark):
-    """The O(N^2) heuristic matches the exhaustive optimum here while
+    """The heuristic matches the exhaustive optimum here while
     evaluating orders of magnitude fewer allocations."""
     specs = [TableSpec(i, rows=30 + 17 * i, dim=4) for i in range(8)]
     memory = u280_memory_system()
@@ -105,13 +112,13 @@ def test_heuristic_vs_bruteforce_runtime(benchmark):
 
     oracle = brute_force_plan(specs, memory, timing, config)
 
-    heuristic = benchmark(plan_tables, specs, memory, timing, config)
+    heuristic = benchmark(_plan_uncached, specs, memory, timing, config)
     assert heuristic.lookup_latency_ns <= oracle.lookup_latency_ns * 1.5
     assert heuristic.evaluated < oracle.evaluated
 
 
 def test_planner_scaling(benchmark):
-    """Planner wall-clock on a 200-table model (O(N^2) search)."""
+    """Planner wall-clock on a 200-table model, uncached."""
     specs = [
         TableSpec(i, rows=100 + (i * 37) % 5000, dim=4 if i % 3 else 16)
         for i in range(200)
@@ -119,6 +126,6 @@ def test_planner_scaling(benchmark):
     memory = u280_memory_system()
     timing = MemoryTimingModel(axi=memory.axi)
 
-    plan = benchmark(plan_tables, specs, memory, timing)
+    plan = benchmark(_plan_uncached, specs, memory, timing)
     assert plan.evaluated <= 201
     plan.placement.validate()

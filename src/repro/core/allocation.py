@@ -16,13 +16,14 @@ banks of the bank's serial read time — the quantity Algorithm 1 minimises.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.cartesian import MergeGroup, product_spec
 from repro.core.tables import TableSpec
 from repro.memory.banks import MemorySystemState
-from repro.memory.spec import BankKind, MemorySystemSpec
+from repro.memory.spec import BankKind, BankSpec, MemorySystemSpec
 from repro.memory.timing import MemoryTimingModel
 
 
@@ -137,11 +138,16 @@ class Placement:
         ``lookup_rounds`` scales every table's lookup count, modelling the
         multi-round DNN architectures of Figure 7.
         """
-        used_banks = set(self.bank_of.values())
-        return max(
-            (self.bank_serial_ns(b, timing, lookup_rounds) for b in used_banks),
-            default=0.0,
-        )
+        # One pass over bank_of, summing each bank in bank_of order — the
+        # same float sums as bank_serial_ns per bank.
+        serial: dict[int, float] = {}
+        for group, bank_id in self.bank_of.items():
+            spec = self.group_spec(group)
+            kind = self.memory.bank(bank_id).kind
+            accesses = spec.lookups_per_inference * lookup_rounds
+            cost = accesses * timing.access_ns(kind, spec.vector_bytes)
+            serial[bank_id] = serial.get(bank_id, 0.0) + cost
+        return max(serial.values(), default=0.0)
 
     def dram_access_rounds(self, lookup_rounds: int = 1) -> int:
         """Accesses the busiest DRAM channel serialises (Table 3 rounds)."""
@@ -186,10 +192,183 @@ def allocate_to_banks(
 
     Raises :class:`PlacementError` if even ``k = 0`` cannot be placed (some
     group exceeds every DRAM bank's remaining capacity).
+
+    Makes exactly the decisions of :func:`_allocate_to_banks_scalar`, the
+    parity reference, with the same float sums in the same order, but
+    works on integer group indices over per-group arrays computed once,
+    picks the least-loaded DRAM channel from a heap keyed on
+    ``(busy_ns, bank_id)``, and resumes each ``k``'s DRAM greedy from the
+    previous ``k``'s state where the two agree.  Cost: at most
+    ``O(N K log B)`` for N groups, K on-chip counts swept and B DRAM
+    channels; a group that does not fit the least-loaded channel also pops
+    past it.  The sweep stops early only on a bound that holds exactly in
+    floating point: once the on-chip bottleneck exceeds the best latency
+    found, no larger ``k`` can win, because float sums of positive costs
+    never shrink.
     """
-    # Every per-group quantity is computed exactly once up front; the k-sweep
-    # below only shuffles precomputed numbers, keeping the allocator O(N)
-    # per candidate count and the whole planner at the paper's O(N^2).
+    gspec = [product_spec(g, specs) for g in groups]
+    size = [s.nbytes for s in gspec]
+    cost = [
+        s.lookups_per_inference * timing.dram_access_ns(s.vector_bytes)
+        for s in gspec
+    ]
+    onchip_cost = [
+        s.lookups_per_inference
+        * timing.access_ns(BankKind.ONCHIP, s.vector_bytes)
+        for s in gspec
+    ]
+    by_size = sorted(
+        range(len(groups)), key=lambda i: (size[i], groups[i].member_ids)
+    )
+    by_cost_desc = sorted(
+        range(len(groups)), key=lambda i: (-cost[i], groups[i].member_ids)
+    )
+
+    # --- on-chip: first-fit into the least-occupied on-chip bank.  The k
+    # smallest groups are placed in the same order for every k, so one
+    # pass yields every k's on-chip banks; onchip_peak[k] is the on-chip
+    # bottleneck with k groups cached, and k stops at the first group that
+    # fits no on-chip bank.
+    onchip_banks = memory.onchip_banks
+    onchip_free = [b.capacity_bytes for b in onchip_banks]
+    onchip_load = [0] * len(onchip_banks)
+    onchip_busy = [0.0] * len(onchip_banks)
+    onchip_bank: list[int] = []
+    onchip_peak = [0.0]
+    for i in by_size:
+        fits = [j for j, free in enumerate(onchip_free) if free >= size[i]]
+        if not fits:
+            break
+        j = min(fits, key=lambda j: (onchip_load[j], onchip_banks[j].bank_id))
+        onchip_bank.append(onchip_banks[j].bank_id)
+        onchip_free[j] -= size[i]
+        onchip_load[j] += 1
+        onchip_busy[j] += onchip_cost[i]
+        onchip_peak.append(max(onchip_busy))
+
+    dram_banks = memory.dram_banks
+    idle = [(0.0, b.bank_id, j) for j, b in enumerate(dram_banks)]
+    heapq.heapify(idle)
+    position = [0] * len(groups)
+    for p, i in enumerate(by_cost_desc):
+        position[i] = p
+    cached = [False] * len(groups)
+    # The run for k + 1 also caches by_size[k], so it repeats the run for k
+    # exactly up to that group's position: the state there is kept in
+    # `resume` as (position, heap, free bytes, placements).
+    resume = None
+    best: tuple[int, list[tuple[int, int]]] | None = None
+    best_score: tuple[float, float] | None = None
+    for k, onchip_latency in enumerate(onchip_peak):
+        if best_score is not None and onchip_latency > best_score[0]:
+            break  # the on-chip bottleneck only grows with k
+        if k:
+            cached[by_size[k - 1]] = True
+        if k < len(groups) and not dram_banks:
+            continue
+        start, heap, free, placed = resume or (
+            0, list(idle), [b.capacity_bytes for b in dram_banks], []
+        )
+        resume = None
+        stop = position[by_size[k]] if k < len(groups) else len(groups)
+        ok = True
+        if stop >= start:
+            ok = _pack_dram(
+                by_cost_desc[start:stop], cached, size, cost, heap, free, placed
+            )
+            if ok:
+                resume = (stop, list(heap), list(free), list(placed))
+            start = stop
+        if ok:
+            ok = _pack_dram(
+                by_cost_desc[start:], cached, size, cost, heap, free, placed
+            )
+        if not ok:
+            if k == 0:
+                raise PlacementError(
+                    "allocation failed: a group exceeds every DRAM bank's "
+                    "capacity even with nothing cached on-chip"
+                )
+            continue
+        dram_busy = [0.0] * len(dram_banks)
+        for busy, _, j in heap:
+            dram_busy[j] = busy
+        # Latency = slowest bank; storage is k-independent, so ties are
+        # broken towards lower aggregate DRAM busy time, i.e. towards
+        # caching more tables on chip.
+        latency = max(max(dram_busy, default=0.0), onchip_latency)
+        score = (latency, sum(dram_busy))
+        if best_score is None or score < best_score:
+            best, best_score = (k, placed), score
+
+    if best is None:
+        raise PlacementError("no feasible allocation found")
+    best_k, best_placed = best
+    bank_of = {
+        groups[i]: bid for i, bid in zip(by_size[:best_k], onchip_bank)
+    }
+    bank_of.update((groups[i], bid) for i, bid in best_placed)
+    placement = Placement(
+        memory=memory,
+        specs=dict(specs),
+        groups=tuple(groups[i] for i in by_size),
+        bank_of=bank_of,
+    )
+    placement._spec_cache.update(zip(groups, gspec))
+    return placement
+
+
+def _pack_dram(
+    order: Sequence[int],
+    cached: list[bool],
+    size: list[int],
+    cost: list[float],
+    heap: list[tuple[float, int, int]],
+    free: list[int],
+    placed: list[tuple[int, int]],
+) -> bool:
+    """Continue an LPT packing over the uncached groups of ``order``.
+
+    ``heap`` holds ``(busy_ns, bank_id, index)`` per DRAM channel and
+    ``free`` each channel's free bytes by index; each group lands on the
+    least-loaded channel with room (channels too full for it are popped
+    and pushed back afterwards) and is appended to ``placed`` as
+    ``(group index, bank id)``.  Returns ``False`` when a group fits no
+    channel.
+    """
+    for i in order:
+        if cached[i]:
+            continue
+        full = []
+        while heap and free[heap[0][2]] < size[i]:
+            full.append(heapq.heappop(heap))
+        if not heap:
+            return False
+        busy, bid, j = heap[0]
+        heapq.heapreplace(heap, (busy + cost[i], bid, j))
+        for entry in full:
+            heapq.heappush(heap, entry)
+        free[j] -= size[i]
+        placed.append((i, bid))
+    return True
+
+
+def _allocate_to_banks_scalar(
+    groups: Sequence[MergeGroup],
+    specs: Mapping[int, TableSpec],
+    memory: MemorySystemSpec,
+    timing: MemoryTimingModel,
+) -> Placement:
+    """Parity reference for :func:`allocate_to_banks`.
+
+    The original allocator: it rebuilds the DRAM candidate list and takes a
+    linear ``min`` over every channel for every group, at every ``k``, so
+    it costs ``O(N K B)``.  Kept verbatim as the ground truth the heap-based
+    allocator must match decision for decision.
+    """
+    # Every per-group quantity is computed once up front; the k-sweep below
+    # still re-runs the DRAM greedy, with a scan over every channel per
+    # group, for each k.
     gspec = {g: product_spec(g, specs) for g in groups}
     cost = {
         g: s.lookups_per_inference * timing.dram_access_ns(s.vector_bytes)

@@ -6,7 +6,9 @@ selecting Cartesian candidates and every way of combining them — including
 products of more than two tables — then allocate each outcome and keep the
 best.  The factorial blow-up makes it unusable at production scale, but for
 small instances (N <= ~9) it is a perfect optimality oracle: property tests
-assert the ``O(N^2)`` heuristic stays within a bounded gap of this search.
+assert the heuristic, which allocates only N + 1 merge choices (each in
+``O(N K log B)``, see :mod:`repro.core.planner`), stays within a bounded
+gap of this search, which allocates every set partition of the tables.
 
 Both searches share :func:`~repro.core.allocation.allocate_to_banks`, so the
 comparison isolates the *merge-choice* quality of the heuristic rules.

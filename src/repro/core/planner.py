@@ -18,7 +18,11 @@ four heuristic rules:
    :func:`~repro.core.allocation.allocate_to_banks`).
 
 The outer loop tries every candidate count ``n`` from 0 to N and keeps the
-best allocation, giving the paper's ``O(N^2)`` total complexity.
+best allocation: the paper's ``O(N^2)`` search over merge choices.  Each
+allocation also sweeps up to K on-chip counts (K <= N, bounded by on-chip
+capacity) with an ``O(N log B)`` greedy over B DRAM channels, so the whole
+search costs ``O(N^2 K log B)``.  :func:`plan_tables` memoises its result
+on the full input.
 """
 
 from __future__ import annotations
@@ -146,6 +150,13 @@ def _groups_for_candidate_count(
     return tuple(groups)
 
 
+#: Plans :func:`plan_tables` remembers, oldest evicted first.  Enough for
+#: every model, backend and config one process deploys in practice.
+PLAN_MEMO_SIZE = 32
+
+_plan_memo: dict[tuple[object, ...], Plan] = {}
+
+
 def plan_tables(
     specs: Sequence[TableSpec],
     memory: MemorySystemSpec,
@@ -159,6 +170,11 @@ def plan_tables(
     plain allocation), builds the rule-2/3 pairing for each ``n``, allocates
     with rule 4, and keeps the placement with the lowest lookup latency,
     breaking ties by total storage.
+
+    Plans are memoised on their content (table specs, banks, AXI, timing
+    model and config), so deploying the same model twice searches once.
+    Every call returns its own :class:`Plan` and :class:`Placement`:
+    mutating one never changes another call's result.
     """
     if timing is None:
         timing = default_timing_model(memory.axi)
@@ -167,6 +183,35 @@ def plan_tables(
     by_id = {s.table_id: s for s in specs}
     if len(by_id) != len(specs):
         raise ValueError("table_id values must be unique")
+    key = (tuple(specs), tuple(memory.banks), memory.axi, timing, config)
+    found = _plan_memo.get(key)
+    if found is None:
+        found = _search(specs, by_id, memory, timing, config)
+        if len(_plan_memo) >= PLAN_MEMO_SIZE:
+            del _plan_memo[next(iter(_plan_memo))]
+        _plan_memo[key] = found
+    return Plan(
+        placement=Placement(
+            memory=memory,
+            specs=by_id,
+            groups=found.placement.groups,
+            bank_of=dict(found.placement.bank_of),
+        ),
+        timing=timing,
+        candidate_count=found.candidate_count,
+        evaluated=found.evaluated,
+        config=config,
+    )
+
+
+def _search(
+    specs: Sequence[TableSpec],
+    by_id: Mapping[int, TableSpec],
+    memory: MemorySystemSpec,
+    timing: MemoryTimingModel,
+    config: PlannerConfig,
+) -> Plan:
+    """The search behind :func:`plan_tables`, uncached."""
     all_ids = set(by_id)
     # Rule 1: only small tables are candidates, smallest first.
     eligible = sorted(

@@ -2,9 +2,10 @@
 
 Everything here routes through the unified runtime API
 (:mod:`repro.runtime`): experiments deploy named backends and read
-sessions, instead of wiring engine classes by hand.  Plans and sessions
-for the two production models are cached because several experiments
-(Tables 2, 3, 4, Figure 7) reuse them.
+sessions, instead of wiring engine classes by hand.  Sessions for the two
+production models are cached because several experiments (Tables 2, 3, 4,
+Figure 7) reuse them; plans come from :func:`plan_tables`, which memoises
+them itself.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ def model(name: str) -> ModelSpec:
         ) from None
 
 
-@functools.lru_cache(maxsize=None)
 def plan(name: str, cartesian: bool = True) -> Plan:
     """Planner output for a production model, with or without merging."""
     return plan_tables(
@@ -57,8 +57,8 @@ def session(
 
     ``precision=None`` keeps each backend's own default (fixed16 on the
     FPGA backends, fp32 on the CPU baseline — the paper's pairing).  The
-    ``fpga`` backend reuses the cached :func:`plan` (one Algorithm 1 run
-    per model/merging setting, shared across precisions); other backends
+    ``fpga`` backend reuses :func:`plan` (one Algorithm 1 run per
+    model/merging setting, shared across precisions); other backends
     build from their own defaults.
     """
     builder = get_backend(backend)

@@ -72,6 +72,10 @@ class MemorySystemSpec:
             raise ValueError("bank_id values must be unique")
         if not self.banks:
             raise ValueError("memory system needs at least one bank")
+        # Not a field: equality, hashing and repr still see only the banks.
+        object.__setattr__(
+            self, "_bank_by_id", {b.bank_id: b for b in self.banks}
+        )
 
     def banks_of(self, *kinds: BankKind) -> list[BankSpec]:
         return [b for b in self.banks if b.kind in kinds]
@@ -97,10 +101,10 @@ class MemorySystemSpec:
         return sum(b.capacity_bytes for b in self.onchip_banks)
 
     def bank(self, bank_id: int) -> BankSpec:
-        for b in self.banks:
-            if b.bank_id == bank_id:
-                return b
-        raise KeyError(f"no bank with id {bank_id}")
+        try:
+            return self._bank_by_id[bank_id]
+        except KeyError:
+            raise KeyError(f"no bank with id {bank_id}") from None
 
     def __iter__(self) -> Iterator[BankSpec]:
         return iter(self.banks)

@@ -5,12 +5,15 @@ import pytest
 from repro.core.allocation import (
     Placement,
     PlacementError,
+    _allocate_to_banks_scalar,
     allocate_to_banks,
 )
 from repro.core.cartesian import MergeGroup
+from repro.core.planner import PlannerConfig, _groups_for_candidate_count
 from repro.core.tables import TableSpec
 from repro.memory.spec import BankKind, BankSpec, MemorySystemSpec
 from repro.memory.timing import default_timing_model
+from repro.models.spec import resolve_model
 
 
 def singleton_groups(specs):
@@ -159,3 +162,31 @@ class TestAllocateToBanks:
             singleton_groups(specs), by_id(specs), tiny_memory, timing
         )
         placement.validate()  # must not raise
+
+
+class TestScalarParity:
+    """The heap-based allocator against its scalar reference, pinned on
+    the models the paper plans, at every candidate count ``n``."""
+
+    @pytest.mark.parametrize(
+        "name,max_rows",
+        [("small", None), ("large", None), ("small", 256), ("dlrm-rmc2", 256)],
+    )
+    def test_every_candidate_count_matches(self, u280, timing, name, max_rows):
+        model = resolve_model(name)
+        if max_rows is not None:
+            model = model.scaled(max_rows=max_rows)
+        config = PlannerConfig()
+        specs = by_id(model.tables)
+        eligible = sorted(
+            (s for s in model.tables if s.rows <= config.max_candidate_rows),
+            key=lambda s: s.size_key,
+        )
+        for n in range(len(eligible) + 1):
+            groups = _groups_for_candidate_count(
+                eligible, n, set(specs), specs, config
+            )
+            fast = allocate_to_banks(groups, specs, u280, timing)
+            ref = _allocate_to_banks_scalar(groups, specs, u280, timing)
+            assert fast.groups == ref.groups
+            assert list(fast.bank_of.items()) == list(ref.bank_of.items())

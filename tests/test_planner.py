@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.core import planner
 from repro.core.planner import (
+    PLAN_MEMO_SIZE,
     PlannerConfig,
     pair_candidates,
     plan_tables,
 )
 from repro.core.tables import TableSpec
-from repro.memory.spec import u280_memory_system
-from repro.memory.timing import default_timing_model
+from repro.memory.spec import MemorySystemSpec, u280_memory_system
+from repro.memory.timing import MemoryTimingModel, default_timing_model
 from repro.models.spec import production_large, production_small
 
 
@@ -91,6 +93,73 @@ class TestPlanTables:
         specs = [TableSpec(i, rows=100 + i, dim=4) for i in range(n)]
         plan = plan_tables(specs, memory, timing)
         assert plan.evaluated <= n + 1
+
+
+class TestPlanMemo:
+    @pytest.fixture
+    def specs(self):
+        return [TableSpec(i, rows=100 + 7 * i, dim=4) for i in range(12)]
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Uncached searches, counted from an empty memo."""
+        calls = []
+        search = planner._search
+        monkeypatch.setattr(planner, "_plan_memo", {})
+        monkeypatch.setattr(
+            planner, "_search", lambda *args: calls.append(args) or search(*args)
+        )
+        return calls
+
+    def test_repeat_call_returns_equal_plan(self, searches, specs, u280):
+        first = plan_tables(specs, u280)
+        again = plan_tables(specs, u280)
+        assert len(searches) == 1
+        assert again == first
+        assert again.summary() == first.summary()
+        assert again.placement is not first.placement
+
+    def test_mutating_a_result_does_not_leak(self, searches, specs, u280):
+        first = plan_tables(specs, u280)
+        expected = list(first.placement.bank_of.items())
+        for group in first.placement.bank_of:
+            first.placement.bank_of[group] = 0
+        again = plan_tables(specs, u280)
+        assert list(again.placement.bank_of.items()) == expected
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"config": PlannerConfig(enable_cartesian=False)},
+            {"memory": u280_memory_system(onchip_banks=4)},
+            {"timing": MemoryTimingModel(dram_init_ns=200.0)},
+        ],
+        ids=["config", "memory", "timing"],
+    )
+    def test_different_inputs_miss(self, searches, specs, u280, change):
+        inputs = {"memory": u280, "timing": None, "config": None}
+        plan_tables(specs, **inputs)
+        plan = plan_tables(specs, **{**inputs, **change})
+        assert len(searches) == 2
+        for name, value in change.items():
+            owner = plan.placement if name == "memory" else plan
+            assert getattr(owner, name) is value
+
+    def test_list_of_banks_still_plans(self, searches, specs, u280):
+        listed = MemorySystemSpec(
+            banks=list(u280.banks), axi=u280.axi, name="listed"
+        )
+        plan = plan_tables(specs, listed)
+        assert plan.placement.memory is listed
+        assert plan_tables(specs, u280).placement.bank_of == (
+            plan.placement.bank_of
+        )
+        assert len(searches) == 1
+
+    def test_memo_is_bounded(self, searches, u280):
+        for rows in range(10, 10 + PLAN_MEMO_SIZE + 5):
+            plan_tables([TableSpec(0, rows=rows, dim=4)], u280)
+        assert len(planner._plan_memo) == PLAN_MEMO_SIZE
 
 
 class TestProductionModelStories:

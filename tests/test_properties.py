@@ -7,6 +7,7 @@ These pin down the invariants the whole system rests on:
 * the planner always emits capacity-feasible partitions covering every
   table exactly once, never does worse than no merging, and respects the
   product-size cap;
+* the heap-based allocator decides exactly as its scalar reference;
 * virtual tables are pure functions of (seed, table, row, column);
 * fixed-point quantisation is idempotent, monotone, and bounded.
 """
@@ -17,8 +18,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocation import (
+    PlacementError,
+    _allocate_to_banks_scalar,
+    allocate_to_banks,
+)
 from repro.core.cartesian import CartesianTable, MergeGroup, product_spec
-from repro.core.planner import PlannerConfig, plan_tables
+from repro.core.planner import (
+    PlannerConfig,
+    _groups_for_candidate_count,
+    plan_tables,
+)
 from repro.core.tables import TableSpec, VirtualTable
 from repro.memory.axi import AxiConfig
 from repro.memory.spec import BankKind, BankSpec, MemorySystemSpec
@@ -127,8 +137,6 @@ def test_planner_partition_is_exact_cover(instance):
     try:
         plan = plan_tables(specs, memory, timing)
     except Exception as exc:  # infeasible instances must raise PlacementError
-        from repro.core.allocation import PlacementError
-
         assert isinstance(exc, PlacementError)
         return
     covered = sorted(
@@ -143,8 +151,6 @@ def test_planner_partition_is_exact_cover(instance):
 def test_planner_never_worse_than_no_merging(instance):
     specs, memory = instance
     timing = default_timing_model()
-    from repro.core.allocation import PlacementError
-
     try:
         base = plan_tables(
             specs, memory, timing, PlannerConfig(enable_cartesian=False)
@@ -160,8 +166,6 @@ def test_planner_never_worse_than_no_merging(instance):
 def test_planner_respects_product_cap(instance, cap):
     specs, memory = instance
     timing = default_timing_model()
-    from repro.core.allocation import PlacementError
-
     config = PlannerConfig(max_product_bytes=cap)
     try:
         plan = plan_tables(specs, memory, timing, config)
@@ -170,6 +174,36 @@ def test_planner_respects_product_cap(instance, cap):
     by_id = {s.table_id: s for s in specs}
     for group in plan.merge_groups:
         assert product_spec(group, by_id).nbytes <= cap
+
+
+def _decisions(allocate, groups, specs, memory, timing):
+    """Groups and bank choices in ``bank_of`` order, or ``None`` if the
+    allocator raised :class:`PlacementError`."""
+    try:
+        placement = allocate(groups, specs, memory, timing)
+    except PlacementError:
+        return None
+    return placement.groups, list(placement.bank_of.items())
+
+
+@given(planner_instances())
+@settings(max_examples=60, deadline=None)
+def test_heap_allocator_matches_scalar_reference(instance):
+    """4 KiB on-chip and 4 MiB HBM banks make capacity bind, so the heap
+    must pop past full channels exactly where the linear scan skips them."""
+    specs, memory = instance
+    timing = default_timing_model()
+    by_id = {s.table_id: s for s in specs}
+    ordered = sorted(specs, key=lambda s: s.size_key)
+    for n in range(len(ordered) + 1):
+        groups = _groups_for_candidate_count(
+            ordered, n, set(by_id), by_id, PlannerConfig()
+        )
+        assert _decisions(
+            allocate_to_banks, groups, by_id, memory, timing
+        ) == _decisions(
+            _allocate_to_banks_scalar, groups, by_id, memory, timing
+        )
 
 
 # -- virtual table properties ------------------------------------------------------
