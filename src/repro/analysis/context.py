@@ -24,9 +24,8 @@ class LintUsageError(ValueError):
 
 
 #: Path prefixes allowed to read the wall clock (RPR002): the bench
-#: runner stamps ``wall_clock_s`` into artifacts by design, and the
-#: ``benchmarks/`` scripts exist to measure elapsed time.
-TIMING_HARNESS_PREFIXES = ("src/repro/bench/", "benchmarks/")
+#: runner stamps ``wall_clock_s`` into artifacts by design.
+TIMING_HARNESS_PREFIXES = ("src/repro/bench/",)
 
 
 @dataclass

@@ -207,7 +207,7 @@ class WallClockRule(Rule):
     slug = "wall-clock"
     invariant = (
         "wall-clock reads only inside the bench timing harness "
-        "(src/repro/bench/, benchmarks/)"
+        "(src/repro/bench/)"
     )
     rationale = (
         "a timestamp in a simulation or report path breaks the "

@@ -1,7 +1,6 @@
 """The benchmark sweep: registered backends x model specs x batch sizes.
 
-This is the machine-readable successor to the ad-hoc ``benchmarks/bench_*``
-scripts: one :func:`run_bench` call deploys every requested (model,
+One :func:`run_bench` call deploys every requested (model,
 backend) pair through :func:`repro.deploy_model`, collects the normalised
 :class:`~repro.runtime.perf.PerfEstimate`, the batch-latency curve, the
 fleet plan for a target load, the latency-under-load serving block

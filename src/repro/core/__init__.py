@@ -22,13 +22,6 @@ from repro.core.allocation import (
 from repro.core.planner import Plan, PlannerConfig, pair_candidates, plan_tables
 from repro.core.bruteforce import brute_force_plan, set_partitions
 from repro.core.engine import MicroRecEngine
-from repro.core.refine import refine_placement
-from repro.core.sharding import (
-    ShardedTable,
-    ShardInfo,
-    ShardMap,
-    shard_oversized,
-)
 
 __all__ = [
     "TableSpec",
@@ -51,9 +44,4 @@ __all__ = [
     "brute_force_plan",
     "set_partitions",
     "MicroRecEngine",
-    "refine_placement",
-    "ShardedTable",
-    "ShardInfo",
-    "ShardMap",
-    "shard_oversized",
 ]

@@ -193,7 +193,9 @@ class TestWallClock:
             "benchmarks/bench_mod.py": source,
             "src/repro/bench/runner.py": source,
         }, select=["RPR002"])
-        assert report.clean
+        assert [(f.path, f.rule) for f in report.findings] == [
+            ("benchmarks/bench_mod.py", "RPR002")
+        ]
 
     def test_unrelated_attribute_is_clean(self, tmp_path):
         report = lint_fixture(tmp_path, {"mod.py": """\

@@ -178,6 +178,15 @@ class TestRunBench:
         assert fpga["usd_per_million_queries"] < cpu["usd_per_million_queries"]
         assert fpga["latency_us"] < cpu["latency_us"]
 
+    def test_paper_backend_ordering(self, payload):
+        """MicroRec cheapest per query and lowest latency; the GPU cost-
+        effective only through its huge batches; NMP between GPU and CPU."""
+        perf = {r["backend"]: r["perf"] for r in payload["results"]}
+        cost = {b: p["usd_per_million_queries"] for b, p in perf.items()}
+        assert cost["fpga"] < cost["gpu"] < cost["nmp"] < cost["cpu"]
+        assert perf["fpga"]["latency_us"] < perf["nmp"]["latency_us"]
+        assert perf["gpu"]["latency_us"] > perf["cpu"]["latency_us"]
+
     def test_serving_block_covers_processes(self, payload, config):
         for result in payload["results"]:
             serving = result["serving"]

@@ -6,8 +6,13 @@ from repro.core.bruteforce import brute_force_plan, set_partitions
 from repro.core.planner import PlannerConfig, plan_tables
 from repro.core.tables import TableSpec
 from repro.memory.axi import AxiConfig
-from repro.memory.spec import BankKind, BankSpec, MemorySystemSpec
-from repro.memory.timing import default_timing_model
+from repro.memory.spec import (
+    BankKind,
+    BankSpec,
+    MemorySystemSpec,
+    u280_memory_system,
+)
+from repro.memory.timing import MemoryTimingModel, default_timing_model
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -86,6 +91,18 @@ class TestBruteForce:
                 worst, heuristic.lookup_latency_ns / oracle.lookup_latency_ns
             )
         assert worst <= 2.0
+
+    def test_heuristic_near_oracle_with_far_fewer_allocations(self):
+        """On the U280 the heuristic stays within 1.5x of the exhaustive
+        optimum while evaluating far fewer allocations."""
+        specs = [TableSpec(i, rows=30 + 17 * i, dim=4) for i in range(8)]
+        memory = u280_memory_system()
+        timing = MemoryTimingModel(axi=memory.axi)
+        config = PlannerConfig(max_candidate_rows=10_000)
+        oracle = brute_force_plan(specs, memory, timing, config)
+        heuristic = plan_tables(specs, memory, timing, config)
+        assert heuristic.lookup_latency_ns <= oracle.lookup_latency_ns * 1.5
+        assert heuristic.evaluated < oracle.evaluated
 
     def test_pruned_by_product_cap(self, small_memory):
         timing = default_timing_model()

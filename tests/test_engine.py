@@ -42,6 +42,7 @@ class TestFunctionalEquivalence:
         batch = QueryGenerator(scaled_model, seed=3).batch(64)
         ours = engine.lookup_embeddings(batch)
         ref = engine.reference_engine().embed(batch)
+        assert ours.shape == (64, scaled_model.feature_len)
         np.testing.assert_array_equal(ours, ref)
 
     def test_merged_groups_actually_used(self, engine, scaled_model):
@@ -58,6 +59,7 @@ class TestFunctionalEquivalence:
         batch = QueryGenerator(scaled_model, seed=7).batch(32)
         ours = eng.infer(batch)
         ref = eng.reference_engine().infer(batch)
+        assert ours.shape == (32,)
         # fixed32 (Q8.24) is near-lossless for O(1) activations.
         np.testing.assert_allclose(ours, ref, atol=2e-4)
 

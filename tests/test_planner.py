@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import planner
+from repro.core.allocation import allocate_to_banks
+from repro.core.cartesian import MergeGroup
 from repro.core.planner import (
     PLAN_MEMO_SIZE,
     PlannerConfig,
@@ -10,6 +12,7 @@ from repro.core.planner import (
     plan_tables,
 )
 from repro.core.tables import TableSpec
+from repro.memory.axi import AxiConfig
 from repro.memory.spec import MemorySystemSpec, u280_memory_system
 from repro.memory.timing import MemoryTimingModel, default_timing_model
 from repro.models.spec import production_large, production_small
@@ -94,6 +97,15 @@ class TestPlanTables:
         plan = plan_tables(specs, memory, timing)
         assert plan.evaluated <= n + 1
 
+    def test_200_table_evaluation_count(self, memory, timing):
+        specs = [
+            TableSpec(i, rows=100 + (i * 37) % 5000, dim=4 if i % 3 else 16)
+            for i in range(200)
+        ]
+        plan = plan_tables(specs, memory, timing)
+        assert plan.evaluated <= 201
+        plan.placement.validate()
+
 
 class TestPlanMemo:
     @pytest.fixture
@@ -160,6 +172,59 @@ class TestPlanMemo:
         for rows in range(10, 10 + PLAN_MEMO_SIZE + 5):
             plan_tables([TableSpec(0, rows=rows, dim=4)], u280)
         assert len(planner._plan_memo) == PLAN_MEMO_SIZE
+
+
+class TestDesignAblations:
+    """Each test isolates one design decision with everything else fixed."""
+
+    def test_axi_width_tradeoff(self):
+        """Appendix: 512-bit AXI reads vectors faster, but its FIFOs
+        would consume over half of the U280's 2016 BRAM across the DRAM
+        channels."""
+        out = {}
+        for width in (32, 512):
+            memory = u280_memory_system(axi=AxiConfig(data_width_bits=width))
+            timing = MemoryTimingModel(axi=memory.axi)
+            plan = plan_tables(production_small().tables, memory, timing)
+            # FIFO depth is per-byte of bus width: 12 BRAM per 32-bit channel.
+            fifo_bram = 12 * (width // 32) * memory.num_dram_channels
+            out[width] = (plan.lookup_latency_ns, fifo_bram)
+        (lat32, bram32), (lat512, bram512) = out[32], out[512]
+        assert lat512 < lat32
+        assert bram512 / 2016 > 0.5
+        assert bram32 / 2016 < 0.25
+
+    def test_onchip_caching_saves_a_round(self):
+        """Rule 4: removing the on-chip banks costs a DRAM round."""
+        rounds = {}
+        for banks in (0, 8):
+            memory = u280_memory_system(onchip_banks=banks)
+            timing = MemoryTimingModel(axi=memory.axi)
+            plan = plan_tables(
+                production_small().tables,
+                memory,
+                timing,
+                PlannerConfig(enable_cartesian=False),
+            )
+            rounds[banks] = plan.dram_access_rounds
+        assert rounds[0] > rounds[8] or rounds[0] >= 2
+
+    def test_rule3_pairing_beats_adjacent_pairing(self):
+        """Pairing neighbours multiplies two similar row counts, so the
+        products are much larger than under smallest-with-largest."""
+        specs = [TableSpec(i, rows=100 * 2**i, dim=4) for i in range(8)]
+        by_id = {s.table_id: s for s in specs}
+        memory = u280_memory_system()
+        timing = MemoryTimingModel(axi=memory.axi)
+        ordered = sorted(specs, key=lambda s: s.size_key)
+
+        def storage(pairs):
+            groups = [MergeGroup((a.table_id, b.table_id)) for a, b in pairs]
+            return allocate_to_banks(groups, by_id, memory, timing).storage_bytes
+
+        rule3 = storage((ordered[i], ordered[-1 - i]) for i in range(4))
+        adjacent = storage((ordered[2 * i], ordered[2 * i + 1]) for i in range(4))
+        assert rule3 < adjacent
 
 
 class TestProductionModelStories:
