@@ -1,6 +1,6 @@
 """Queuing ablation: idealised vs simulated DRAM channel behaviour.
 
-EXPERIMENTS.md notes one systematic deviation from the paper: our
+The reproduction has one systematic deviation from the paper: our
 analytical lookup latencies sit below the measured hardware, most visibly
 on the large model (ours 1065/868 ns vs the paper's 2260/1630 ns).  This
 experiment quantifies how much of that gap controller effects explain: it

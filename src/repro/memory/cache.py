@@ -9,19 +9,28 @@ the residual benefit of Cartesian merging (merged products dilute per-row
 popularity, so caching and merging interact).
 
 The bulk path (:func:`lru_hit_flags`, used by
-:meth:`LruRowCache.run_trace` and the tier simulator in
-:mod:`repro.memory.tiers`) is fully vectorised.  It exploits the classic
-stack-distance characterisation of LRU: because this cache inserts on
-miss, an access hits iff the number of *distinct* keys touched since the
-key's previous occurrence is below the capacity.  That distinct count
-reduces to a dominance count over previous-occurrence indices (see
-:func:`_count_smaller_before`), computed with a bottom-up merge in
-O(n log n) NumPy passes instead of a Python loop per key.
+:meth:`LruRowCache.run_trace`, and :func:`lru_tier_cascade`, used by the
+tier simulator in :mod:`repro.memory.tiers`) is vectorised and
+exact-first.  It exploits the classic stack-distance characterisation
+of LRU: because this cache inserts on miss, an access hits iff the
+number of *distinct* keys touched since the key's previous occurrence
+is below the capacity.  Most accesses settle in O(n) without that
+count: a first touch misses; a reuse at most ``capacity`` accesses
+after its previous touch hits; a reuse with at least ``capacity``
+first touches (distinct keys by construction) in between misses.  Only
+the accesses left undecided pay for the exact distinct count (see
+:func:`_distinct_between`): prefix sums cover the short-gap reuses, and
+a dominance count over previous-occurrence indices
+(:func:`_count_smaller_before`, a bottom-up merge in O(n log n) NumPy
+passes) covers only the long-gap reuses inside an undecided window.
+The cascade sorts its trace once: each lower tier's miss stream takes
+its key order by filtering that one stable argsort.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,36 +124,126 @@ def _count_smaller_before(values: np.ndarray) -> np.ndarray:
     return counts[:n]
 
 
+def _lru_hits_sorted(
+    keys: np.ndarray, order: np.ndarray, capacity_rows: int
+) -> np.ndarray:
+    """:func:`lru_hit_flags` given ``order``, a stable argsort of ``keys``.
+
+    Settles each access in O(n) where it can and merge-counts the rest
+    (see :func:`_distinct_between`).
+    """
+    n = keys.size
+    # Previous occurrence of each key: the stable sort groups equal keys
+    # in position order.  First touches keep -1.
+    sorted_keys = keys[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    reuse = prev >= 0
+    # Fewer than `capacity` accesses since the previous touch cannot
+    # hold `capacity` distinct keys: a hit.
+    near = reuse & (np.arange(n, dtype=np.int64) - prev <= capacity_rows)
+    far = reuse & ~near
+    open_ = np.flatnonzero(far)
+    if open_.size == 0:
+        return near
+    # Every global first touch strictly between is a distinct key other
+    # than this one; `capacity` of them evict it: a miss.
+    first_touches = np.cumsum(~reuse)
+    fresh = first_touches[open_] - first_touches[prev[open_]]
+    open_ = open_[fresh < capacity_rows]
+    hit = near.copy()
+    if open_.size:
+        hit[open_] = (
+            _distinct_between(prev, near, far, first_touches, open_)
+            < capacity_rows
+        )
+    return hit
+
+
+def _distinct_between(
+    prev: np.ndarray,
+    near: np.ndarray,
+    far: np.ndarray,
+    first_touches: np.ndarray,
+    queries: np.ndarray,
+) -> np.ndarray:
+    """Distinct keys strictly between ``prev[i]`` and ``i``, per query.
+
+    A key counts once, at its first access inside the window ``(p, i)``:
+    a first touch (``first_touches`` is their inclusive running count),
+    or a reuse ``j`` with ``prev[j] < p``.  Reuses split by their own
+    gap.  A ``near`` one (gap at most ``capacity``) that starts before
+    ``p`` and ends after it also ends before ``i``, because a query is
+    a ``far`` reuse with a longer gap, so their count is
+    ``#{prev[j] < p} - #{j <= p}`` from two prefix sums.  ``far`` ones
+    need the dominance count, run
+    only over those inside some query's window plus the queries: over
+    those kept points ``K``, ``#{j in K, j < i : prev[j] < p}``
+    over-counts by exactly the kept points at or before ``p``, each of
+    which has ``prev[j] < j <= p``.
+    """
+    n = prev.size
+    starts = prev[queries]
+    near_below = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(prev[near], minlength=n), out=near_below[1:])
+    near_count = near_below[starts] - np.cumsum(near)[starts]
+    depth = np.cumsum(
+        np.bincount(starts + 1, minlength=n + 1)
+        - np.bincount(queries, minlength=n + 1)
+    )[:n]
+    kept = far & (depth > 0)
+    kept[queries] = True
+    rank = np.cumsum(kept)
+    smaller = _count_smaller_before(prev[kept])[rank[queries] - 1]
+    return (
+        first_touches[queries] - first_touches[starts]
+        + near_count + smaller - rank[starts]
+    )
+
+
 def lru_hit_flags(keys: np.ndarray, capacity_rows: int) -> np.ndarray:
     """Per-access hit flags for an LRU cache starting empty.
 
     Exact semantics of replaying ``keys`` through
     :meth:`LruRowCache.access` on a fresh cache, but vectorised: access
     ``i`` hits iff the key occurred before and fewer than
-    ``capacity_rows`` distinct keys appeared strictly in between.  The
-    distinct count is ``#{j < i : prev[j] < prev[i]} - (prev[i] + 1)``
-    — every ``j <= prev[i]`` has ``prev[j] < j <= prev[i]``, so the
-    dominance count over *all* earlier accesses over-counts by exactly
-    the window start — which :func:`_count_smaller_before` supplies.
+    ``capacity_rows`` distinct keys appeared strictly in between.
     """
-    if capacity_rows <= 0:
-        raise ValueError(
-            f"capacity_rows must be positive, got {capacity_rows}"
-        )
+    return lru_tier_cascade(keys, (capacity_rows,)) == 0
+
+
+def lru_tier_cascade(
+    keys: np.ndarray, capacities_rows: Sequence[int]
+) -> np.ndarray:
+    """Which LRU cache of a cascade serves each access (caches cold).
+
+    The first cache sees ``keys``; each cache's misses, in order, feed
+    the next; ``len(capacities_rows)`` marks an access every cache
+    missed.  Equal to chaining :func:`lru_hit_flags` over the miss
+    streams, but the trace is argsorted once: a miss stream's stable
+    key order is the parent order filtered by the miss mask and
+    renumbered through ``cumsum(miss) - 1``.
+    """
+    for capacity in capacities_rows:
+        if capacity <= 0:
+            raise ValueError(
+                f"capacity_rows must be positive, got {capacity}"
+            )
     keys = np.asarray(keys, dtype=np.int64).ravel()
-    n = keys.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    # Previous occurrence of each key (stable sort groups equal keys in
-    # position order); first occurrences get distinct negative
-    # sentinels, which sort below every valid index.
+    assigned = np.full(keys.size, len(capacities_rows), dtype=np.int64)
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    same = sorted_keys[1:] == sorted_keys[:-1]
-    prev = -1 - np.arange(n, dtype=np.int64)
-    prev[order[1:][same]] = order[:-1][same]
-    distinct_between = _count_smaller_before(prev) - (prev + 1)
-    return (prev >= 0) & (distinct_between < capacity_rows)
+    pos = np.arange(keys.size, dtype=np.int64)
+    for tier, capacity in enumerate(capacities_rows):
+        if pos.size == 0:
+            break
+        hit = _lru_hits_sorted(keys[pos], order, capacity)
+        assigned[pos[hit]] = tier
+        if tier + 1 < len(capacities_rows):
+            miss = ~hit
+            order = (np.cumsum(miss) - 1)[order[miss[order]]]
+            pos = pos[miss]
+    return assigned
 
 
 class LruRowCache:

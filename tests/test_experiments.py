@@ -136,9 +136,8 @@ class TestTable4:
 class TestTable5:
     def test_lookup_latencies_within_5pct(self, results):
         for row in results["table5"].rows:
-            assert row["lookup_ns"] == pytest.approx(
-                row["paper_lookup_ns"], rel=0.05
-            )
+            paper = row["paper_lookup_ns"]
+            assert abs(row["lookup_ns"] - paper) < 0.05 * paper
 
     def test_twelve_tables_take_two_rounds(self, results):
         """One HBM round at 8 tables, two at 12, for every dim."""
@@ -197,7 +196,8 @@ class TestTable6:
     def test_totals_within_3pct(self, results):
         for row in results["table6"].rows:
             for res in ("bram", "dsp", "ff", "lut", "uram"):
-                assert row[res] == pytest.approx(row[f"paper_{res}"], rel=0.03)
+                paper = row[f"paper_{res}"]
+                assert abs(row[res] - paper) < 0.03 * paper, res
 
     def test_frequencies_exact(self, results):
         for row in results["table6"].rows:

@@ -11,6 +11,9 @@ under fixed seeds:
 * the routing policies' incremental scan loops vs the original
   ``min(order, key=...)`` virtual-queue loops (restated verbatim below),
   plus a pinned byte-for-byte decision regression;
+* the exact-first LRU hit flags vs the per-key ``OrderedDict`` replay,
+  with guards pinning which of its paths (O(n) checks or merge count)
+  a trace takes;
 * the autoscale replay's memoised window plans vs a fresh, cache-cold
   run of equal-valued inputs.
 
@@ -376,6 +379,64 @@ class TestLruCacheParity:
             dtype=np.int64,
         )
         assert np.array_equal(_count_smaller_before(values), naive)
+
+    @staticmethod
+    def _scalar_flags(keys, capacity):
+        from repro.memory.cache import LruRowCache
+
+        cache = LruRowCache(capacity)
+        return np.array([cache.access(int(k)) for k in keys], dtype=bool)
+
+    def test_drifting_zipf_settles_without_merge_count(self, monkeypatch):
+        # Two Zipf bursts whose hot set drifts by `capacity` rows, split
+        # by a scan of `capacity` fresh rows.  Each burst is shorter
+        # than the cache, so a reuse either falls within `capacity`
+        # accesses (a hit) or lies behind the scan (a miss): the O(n)
+        # checks settle every access and the merge count never runs.
+        import repro.memory.cache as cache
+        from repro.serving.popularity import PopularityModel
+
+        def forbidden(values):
+            raise AssertionError("merge count reached")
+
+        capacity, burst, rows = 2048, 2000, 100_000
+        rng = np.random.default_rng(5)
+        popularity = PopularityModel(rows=rows, drift_rows_per_s=capacity)
+        keys = np.concatenate([
+            popularity.sample(rng, burst, t_s=np.arange(burst) / burst),
+            rows + np.arange(capacity),
+            popularity.sample(rng, burst, t_s=1 + np.arange(burst) / burst),
+        ])
+        monkeypatch.setattr(cache, "_count_smaller_before", forbidden)
+        got = cache.lru_hit_flags(keys, capacity)
+        want = self._scalar_flags(keys, capacity)
+        assert np.array_equal(got, want)
+        # Both O(n) verdicts occur: near hits, and reuses behind the scan.
+        tail = slice(burst + capacity, None)
+        assert got[tail].any()
+        assert np.isin(keys[tail][~got[tail]], keys[:burst]).any()
+
+    @pytest.mark.parametrize("extra", [1, 2])
+    def test_cyclic_trace_reaches_merge_count(self, monkeypatch, extra):
+        # Cycling over `capacity + extra` keys puts each reuse just past
+        # `capacity` accesses with too few first touches in between to
+        # settle it: only the merge count decides.
+        import repro.memory.cache as cache
+
+        calls = []
+        count = cache._count_smaller_before
+
+        def spy(values):
+            calls.append(values.size)
+            return count(values)
+
+        capacity = 37
+        keys = np.arange(6 * (capacity + extra)) % (capacity + extra)
+        monkeypatch.setattr(cache, "_count_smaller_before", spy)
+        got = cache.lru_hit_flags(keys, capacity)
+        assert calls
+        assert np.array_equal(got, self._scalar_flags(keys, capacity))
+        assert not got.any()  # LRU thrashes on a cycle one past capacity
 
     def test_empty_trace_is_a_no_op(self):
         from repro.memory.cache import LruRowCache

@@ -8,6 +8,8 @@ These pin down the invariants the whole system rests on:
   table exactly once, never does worse than no merging, and respects the
   product-size cap;
 * the heap-based allocator decides exactly as its scalar reference;
+* exact-first LRU hit flags equal a per-key ``OrderedDict`` replay, and
+  the shared-argsort tier cascade equals one ``policy.hits`` per tier;
 * virtual tables are pure functions of (seed, table, row, column);
 * fixed-point quantisation is idempotent, monotone, and bounded.
 """
@@ -31,7 +33,13 @@ from repro.core.planner import (
 )
 from repro.core.tables import TableSpec, VirtualTable
 from repro.memory.axi import AxiConfig
+from repro.memory.cache import LruRowCache, lru_hit_flags
 from repro.memory.spec import BankKind, BankSpec, MemorySystemSpec
+from repro.memory.tiers import (
+    TierHierarchy,
+    TierSpec,
+    available_cache_policies,
+)
 from repro.memory.timing import MemoryTimingModel, default_timing_model
 from repro.models.mlp import FixedPointFormat
 
@@ -204,6 +212,68 @@ def test_heap_allocator_matches_scalar_reference(instance):
         ) == _decisions(
             _allocate_to_banks_scalar, groups, by_id, memory, timing
         )
+
+
+# -- LRU and tier cascade properties ------------------------------------------------
+
+
+@st.composite
+def lru_traces(draw, max_capacity=24):
+    """A key trace and a capacity.  Half the traces cycle over
+    ``capacity + {-1, 0, 1}`` keys with a few random overwrites, which
+    puts reuses just past the capacity with too few first touches in
+    between: only the merge count decides those."""
+    capacity = draw(st.integers(1, max_capacity))
+    if draw(st.booleans()):
+        period = max(1, capacity + draw(st.integers(-1, 1)))
+        n = draw(st.integers(0, 8 * (capacity + 2)))
+        keys = np.arange(n, dtype=np.int64) % period
+        if n:
+            for at, key in draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, n - 1), st.integers(0, 3 * capacity)
+                    ),
+                    max_size=6,
+                )
+            ):
+                keys[at] = key
+    else:
+        universe = draw(st.integers(1, 4 * capacity + 4))
+        keys = np.array(
+            draw(st.lists(st.integers(0, universe - 1), max_size=200)),
+            dtype=np.int64,
+        )
+    return keys, capacity
+
+
+@given(lru_traces())
+@settings(max_examples=150, deadline=None)
+def test_lru_hit_flags_match_ordered_dict_replay(trace):
+    keys, capacity = trace
+    cache = LruRowCache(capacity)
+    replay = [cache.access(int(key)) for key in keys]
+    assert lru_hit_flags(keys, capacity).tolist() == replay
+
+
+@given(
+    lru_traces(max_capacity=12),
+    st.lists(st.integers(1, 30), min_size=1, max_size=2),
+    st.sampled_from(available_cache_policies()),
+)
+@settings(max_examples=100, deadline=None)
+def test_assign_tiers_matches_per_tier_cascade(trace, lower, policy):
+    keys, hot = trace
+    caches = [hot, *lower]
+    tiers = tuple(
+        TierSpec(f"t{i}", rows, float(i + 1))
+        for i, rows in enumerate([*caches, 1])
+    )
+    hierarchy = TierHierarchy(tiers, row_bytes=1, policy=policy)
+    assert (
+        hierarchy.assign_tiers(keys).tolist()
+        == hierarchy._cascade_per_tier(keys).tolist()
+    )
 
 
 # -- virtual table properties ------------------------------------------------------
